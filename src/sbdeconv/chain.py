@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .fourier import convolve_columns
-from .gauss import FourierGaussian, RngStreams, sample_fourier_gaussian, spd_solve
+from .gauss import FourierGaussian, RngStreams, krige, sample_fourier_gaussian, spd_solve
 from .gibbs import GibbsWorkspace, gibbs_sweep
 from .hmc import DualAveraging, HmcConfig
 from .model import ModelState, SbdModel, embed_blur
@@ -55,9 +55,6 @@ class ChainOutput:
     counters: dict
     manifest: dict
 
-    def trace(self, name):
-        return getattr(self, name)
-
 
 def draw_prior_variances(model: SbdModel, rng):
     hp = model.hp
@@ -68,23 +65,16 @@ def draw_prior_variances(model: SbdModel, rng):
 
 
 def sample_constrained_image(model: SbdModel, sigma_c2, rng):
-    """One draw from the image prior conditioned on the exact pixels."""
-    lat = model.lattice
+    """One draw from the image prior conditioned on the exact pixels.
+
+    The Kriging step uses the correlation R_c; sigma_c2 cancels from it.
+    """
     img = model.image
-    g = FourierGaussian(np.zeros((lat.n_v, lat.n_h), dtype=complex),
+    g = FourierGaussian(np.zeros(img.theta.shape, dtype=complex),
                         sigma_c2 * img.theta)
     c = sample_fourier_gaussian(g, rng)
-    px = lat.image_pixels
-    if len(px):
-        dr = (px[:, 0][:, None] - px[:, 0][None, :]) % lat.n_v
-        dc = (px[:, 1][:, None] - px[:, 1][None, :]) % lat.n_h
-        gram = img.base[dr, dc]
-        resid = c[px[:, 0], px[:, 1]] - img.c_obs
-        weights = spd_solve(gram, resid)
-        for (r, col), wgt in zip(px, weights):
-            c -= wgt * np.roll(img.base, (r, col), axis=(0, 1))
-        c[px[:, 0], px[:, 1]] = img.c_obs
-    return c
+    weights = spd_solve(img.base[img.pixel_offsets], c[img.pixel_index] - img.c_obs)
+    return krige(c, img.theta, img.pixel_index, weights, img.c_obs)
 
 
 def init_state_from_prior(model: SbdModel, d_obs, streams: RngStreams) -> ModelState:
@@ -122,7 +112,7 @@ def run_chain(model: SbdModel, d_obs, cfg: SamplerConfig,
         state = init_state_from_prior(model, d_obs, streams)
     ws = GibbsWorkspace()
 
-    aux = lat.aux_flat_index()
+    aux = model.aux_index
     n_keep = (cfg.iterations - cfg.burn_in + cfg.thin - 1) // cfg.thin
     if n_keep <= 0:
         raise DimensionMismatch("no retained iterations after burn-in/thinning")
@@ -144,7 +134,6 @@ def run_chain(model: SbdModel, d_obs, cfg: SamplerConfig,
     hmc_cfg = None
     if use_hmc:
         hmc_cfg = HmcConfig(cfg.hmc_steps, cfg.hmc_step_size,
-                            adapt=cfg.hmc_adapt,
                             target_accept=cfg.hmc_target_accept)
         if cfg.hmc_adapt:
             adapter = DualAveraging(cfg.hmc_step_size, target=cfg.hmc_target_accept)

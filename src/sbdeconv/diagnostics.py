@@ -7,26 +7,10 @@ are summed as-is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import DegenerateTrace, DimensionMismatch
-
-
-@dataclass(frozen=True)
-class Trace:
-    """One scalar parameter trace."""
-
-    values: np.ndarray
-    name: str = ""
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float).ravel())
-
-    def __len__(self):
-        return self.values.size
 
 
 def autocorrelation(values, max_lag):

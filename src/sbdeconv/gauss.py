@@ -2,6 +2,9 @@
 
 Dense conditional parameters, Fourier-domain sampling of stationary fields,
 conditioning by Kriging, and evaluation of singular constrained densities.
+``krige`` is the one Kriging step the samplers use: for a circulant or BCCB
+covariance the correction is one FFT pair.  ``condition_by_kriging`` is its
+dense reference on explicit covariance columns.
 """
 
 from __future__ import annotations
@@ -175,6 +178,27 @@ def condition_by_kriging(x, sigma_cols, constraint: HardConstraint):
     corr = (sigma_cols @ weights).T.reshape(x.shape)
     out = x - corr
     out[..., sel] = constraint.values
+    return out
+
+
+def krige(x, eig_cov, index, weights, values):
+    """Correct a stationary draw so the entries ``x[index]`` hit ``values`` exactly.
+
+    ``x`` is a draw on a column or a lattice grid and ``eig_cov`` the
+    eigenvalue grid (``fftn`` of the base) of its circulant or BCCB
+    covariance Sigma.  ``weights`` solve the Gram of Sigma at ``index`` for
+    the residual ``x[index] - values``; a common scale of Sigma cancels.
+    The correction Sigma A^T weights is Sigma applied to the weights
+    embedded on the lattice, so it costs one FFT pair (Rue & Held 2005,
+    section 2.3.3).
+    """
+    out = np.array(x, dtype=float)
+    if np.size(weights) == 0:
+        return out
+    embed = np.zeros_like(out)
+    embed[index] = weights
+    out -= np.fft.ifftn(eig_cov * np.fft.fftn(embed)).real
+    out[index] = values
     return out
 
 

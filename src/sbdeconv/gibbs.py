@@ -1,18 +1,20 @@
 """Fourier-domain Gibbs sampler: six full-conditional updates per sweep.
 
 The blur, image, and auxiliary-data conditionals are sampled unconstrained in
-the Fourier domain and corrected by Kriging onto their hard constraints; the
-three variance parameters have conjugate inverse-gamma conditionals.
+the Fourier domain and corrected onto their hard constraints by
+``gauss.krige``, one FFT pair each; the three variance parameters have
+conjugate inverse-gamma conditionals, which share one data sum of squares
+per sweep.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
 from .errors import NonPositiveScale
 from .fourier import convolve_columns, kernel_eigs
-from .gauss import FourierGaussian, HardConstraint, condition_by_kriging, \
-    sample_fourier_gaussian, spd_solve
+from .gauss import FourierGaussian, krige, sample_fourier_gaussian, spd_solve
 from .model import ModelState, SbdModel, embed_blur
 
 
@@ -83,9 +85,8 @@ def sample_blur_fc(state: ModelState, model: SbdModel, rng, ws: GibbsWorkspace =
 
     base = np.fft.ifft(eig_cov).real                     # base of Sigma_{w|d}
     free = lat.blur_free
-    cols = base[(np.arange(lat.n_v)[:, None] - free[None, :]) % lat.n_v]
-    constraint = HardConstraint(free, np.zeros(free.size))
-    w_star = condition_by_kriging(w, cols, constraint)
+    gram = base[(free[:, None] - free[None, :]) % lat.n_v]
+    w_star = krige(w, eig_cov, free, spd_solve(gram, w[free]), 0.0)
     omega = w_star[lat.blur_support].copy()
     return embed_blur(omega, lat), omega
 
@@ -107,50 +108,33 @@ def image_fc_params(state: ModelState, model: SbdModel):
 
 def sample_image_fc(state: ModelState, model: SbdModel, rng):
     """Draw the extended image; exactly observed pixels land exactly at c_o."""
-    lat = model.lattice
+    img = model.image
     mean_hat, eig_cov = image_fc_params(state, model)
     c = sample_fourier_gaussian(FourierGaussian(mean_hat, eig_cov), rng)
-    px = lat.image_pixels
-    if len(px) == 0:
-        return c
     base = np.fft.ifft2(eig_cov).real                   # base of Sigma_{c|d}
-    dr = (px[:, 0][:, None] - px[:, 0][None, :]) % lat.n_v
-    dc = (px[:, 1][:, None] - px[:, 1][None, :]) % lat.n_h
-    gram = base[dr, dc]
-    resid = c[px[:, 0], px[:, 1]] - model.image.c_obs
-    weights = spd_solve(gram, resid)
-    for (r, col), wgt in zip(px, weights):
-        c -= wgt * np.roll(base, (r, col), axis=(0, 1))
-    c[px[:, 0], px[:, 1]] = model.image.c_obs
-    return c
+    weights = spd_solve(base[img.pixel_offsets], c[img.pixel_index] - img.c_obs)
+    return krige(c, eig_cov, img.pixel_index, weights, img.c_obs)
 
 
 def sample_aux_data_fc(state: ModelState, model: SbdModel, rng):
     """Refresh the padding nodes of the data; observed nodes stay at d_o.
 
-    The correction solve splits over the Kronecker factors of the noise
-    correlation because the observed window is a row-block x column-block.
+    The Kriging weights solve over the Kronecker factors of the noise
+    correlation, factored once per model, because the observed window is a
+    row-block x column-block.
     """
-    lat = model.lattice
+    lat, noise = model.lattice, model.noise
     mean = convolve_columns(state.w_star, state.c)
     mean_hat = np.fft.fft2(mean, norm="ortho")
-    eig_cov = state.sigma_d2 * model.noise.theta
+    eig_cov = state.sigma_d2 * noise.theta
     d = sample_fourier_gaussian(FourierGaussian(mean_hat, eig_cov), rng)
 
-    rows, cols = lat.data_rows, lat.data_cols
-    d_obs = state.d[np.ix_(rows, cols)]
-    resid = d[np.ix_(rows, cols)] - d_obs
-    if resid.size == 0:
-        return d
-    kv = model.noise.r_dv.dense().real[np.ix_(rows, rows)]
-    kh = model.noise.r_dh.dense().real[np.ix_(cols, cols)]
-    alpha = spd_solve(kv, spd_solve(kh, resid.T).T)
-    embed = np.zeros_like(d)
-    embed[np.ix_(rows, cols)] = alpha
-    corr = np.fft.ifft2(model.noise.theta * np.fft.fft2(embed)).real
-    d_new = d - corr
-    d_new[np.ix_(rows, cols)] = d_obs
-    return d_new
+    window = np.ix_(lat.data_rows, lat.data_cols)
+    d_obs = state.d[window]
+    resid = d[window] - d_obs
+    weights = scipy.linalg.cho_solve(
+        noise.chol_obs_v, scipy.linalg.cho_solve(noise.chol_obs_h, resid.T).T)
+    return krige(d, noise.theta, window, weights, d_obs)
 
 
 # --- sums of squares and conjugate variance updates ----------------------
@@ -177,46 +161,43 @@ def _draw_inverse_gamma(alpha, beta, rng):
     return beta / rng.gamma(shape=alpha)
 
 
-def sigma_w_conditional(state: ModelState, model: SbdModel):
+def sigma_w_conditional(state: ModelState, model: SbdModel, ssd):
     lat, hp = model.lattice, model.hp
-    ssd = sum_squares_data(state, model)
     ssw = sum_squares_blur(state, model)
     alpha = hp.alpha_w + (lat.n + lat.blur_len) / 2.0
     beta = hp.beta_w + 0.5 * (ssd / (hp.psi * state.sigma_c2 * state.zeta) + ssw)
     return alpha, beta
 
 
-def sample_sigma_w(state: ModelState, model: SbdModel, rng):
-    alpha, beta = sigma_w_conditional(state, model)
+def sample_sigma_w(state: ModelState, model: SbdModel, ssd, rng):
+    alpha, beta = sigma_w_conditional(state, model, ssd)
     return _draw_inverse_gamma(alpha, beta, rng)
 
 
-def sigma_c_conditional(state: ModelState, model: SbdModel):
+def sigma_c_conditional(state: ModelState, model: SbdModel, ssd):
     # The likelihood contributes SSD scaled by the remaining factors of the
     # derived noise variance; the image prior contributes SSC/2 unscaled.
     lat, hp = model.lattice, model.hp
-    ssd = sum_squares_data(state, model)
     ssc = sum_squares_image(state, model)
     alpha = hp.alpha_c + lat.n
     beta = hp.beta_c + ssd / (2.0 * hp.psi * state.sigma_w2 * state.zeta) + ssc / 2.0
     return alpha, beta
 
 
-def sample_sigma_c(state: ModelState, model: SbdModel, rng):
-    alpha, beta = sigma_c_conditional(state, model)
+def sample_sigma_c(state: ModelState, model: SbdModel, ssd, rng):
+    alpha, beta = sigma_c_conditional(state, model, ssd)
     return _draw_inverse_gamma(alpha, beta, rng)
 
 
-def zeta_conditional(state: ModelState, model: SbdModel):
+def zeta_conditional(state: ModelState, model: SbdModel, ssd):
     lat, hp = model.lattice, model.hp
-    ssd = sum_squares_data(state, model)
     alpha = hp.alpha_zeta + lat.n / 2.0
     beta = hp.beta_zeta + ssd / (2.0 * hp.psi * state.sigma_c2 * state.sigma_w2)
     return alpha, beta
 
 
-def sample_zeta(state: ModelState, model: SbdModel, rng):
-    alpha, beta = zeta_conditional(state, model)
+def sample_zeta(state: ModelState, model: SbdModel, ssd, rng):
+    alpha, beta = zeta_conditional(state, model, ssd)
     return _draw_inverse_gamma(alpha, beta, rng)
 
 
@@ -249,7 +230,9 @@ def gibbs_sweep(state: ModelState, model: SbdModel, streams, alpha=0.0,
     state.c = sample_image_fc(state, model, streams.image)
     ws.invalidate()
     state.d = sample_aux_data_fc(state, model, streams.data)
-    state.sigma_c2 = sample_sigma_c(state, model, streams.sigma_c)
-    state.sigma_w2 = sample_sigma_w(state, model, streams.sigma_w)
-    state.zeta = sample_zeta(state, model, streams.zeta)
+    # the data sum of squares depends on none of the variances
+    ssd = sum_squares_data(state, model)
+    state.sigma_c2 = sample_sigma_c(state, model, ssd, streams.sigma_c)
+    state.sigma_w2 = sample_sigma_w(state, model, ssd, streams.sigma_w)
+    state.zeta = sample_zeta(state, model, ssd, streams.zeta)
     return state

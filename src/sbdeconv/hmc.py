@@ -30,11 +30,10 @@ DIVERGENCE_THRESHOLD = 1000.0
 
 @dataclass
 class HmcConfig:
-    """Leapfrog steps, step size, and adaptation switches."""
+    """Leapfrog steps, step size, and the adaptation target."""
 
     steps: int
     step_size: float
-    adapt: bool = False
     target_accept: float = 0.65
     divergence_threshold: float = DIVERGENCE_THRESHOLD
 
@@ -63,15 +62,6 @@ class MarginalWorkspace:
     s_inv: np.ndarray | None = None
     q: np.ndarray | None = None
     s_inv_q: np.ndarray | None = None
-    pixel_dr: np.ndarray | None = None
-    pixel_dc: np.ndarray | None = None
-
-
-def _pixel_difference_grids(lattice):
-    px = lattice.image_pixels
-    dr = (px[:, 0][:, None] - px[:, 0][None, :]) % lattice.n_v
-    dc = (px[:, 1][:, None] - px[:, 1][None, :]) % lattice.n_h
-    return dr, dc
 
 
 def potential(omega, state: ModelState, model: SbdModel):
@@ -105,8 +95,7 @@ def potential(omega, state: ModelState, model: SbdModel):
     ws = MarginalWorkspace(omega.copy(), lam_w0, lam_a, dbar, dbar_hat, w0_dense)
 
     if img.m > 0:
-        dr, dc = _pixel_difference_grids(lat)
-        mc = sigma_c2 * img.base[dr, dc]
+        mc = sigma_c2 * img.base[img.pixel_offsets]
         try:
             chol_mc = scipy.linalg.cholesky(mc, lower=True)
         except scipy.linalg.LinAlgError as exc:
@@ -114,7 +103,7 @@ def potential(omega, state: ModelState, model: SbdModel):
 
         lam_z = (sigma_c2**2) * img.theta**2 * abs_w2 / lam_a
         base_z = np.fft.ifft2(lam_z).real
-        zc = base_z[dr, dc]
+        zc = base_z[img.pixel_offsets]
         s_block = mc - zc
         s_block = 0.5 * (s_block + s_block.T)
         try:
@@ -128,7 +117,7 @@ def potential(omega, state: ModelState, model: SbdModel):
 
         lam_b = sigma_c2 * img.theta * lam_w0[:, None] / lam_a
         bt_dbar = np.fft.ifft2(np.conj(lam_b) * dbar_hat, norm="ortho").real
-        q = bt_dbar[lat.image_pixels[:, 0], lat.image_pixels[:, 1]]
+        q = bt_dbar[img.pixel_index]
         s_inv_q = scipy.linalg.cho_solve((chol_s, True), q)
         quad += float(q @ s_inv_q)
 
@@ -137,7 +126,6 @@ def potential(omega, state: ModelState, model: SbdModel):
         ws.s_inv = scipy.linalg.cho_solve((chol_s, True), np.eye(img.m))
         ws.q = q
         ws.s_inv_q = s_inv_q
-        ws.pixel_dr, ws.pixel_dc = dr, dc
 
     quad_prior = float(omega @ model.blur.solve(omega))
     u_prior = 0.5 * (k * np.log(2 * np.pi) + k * np.log(sigma_w2)
@@ -177,7 +165,7 @@ def grad_potential(omega, ws: MarginalWorkspace, state: ModelState, model: SbdMo
     if img.m > 0:
         lam_b = sigma_c2 * img.theta * lam_w0[:, None] / lam_a
         embed = np.zeros((lat.n_v, lat.n_h))
-        embed[lat.image_pixels[:, 0], lat.image_pixels[:, 1]] = ws.s_inv_q
+        embed[img.pixel_index] = ws.s_inv_q
         vhat = vhat + lam_b * np.fft.fft2(embed, norm="ortho")
     v = np.fft.ifft2(vhat, norm="ortho").real
 
@@ -191,7 +179,6 @@ def grad_potential(omega, ws: MarginalWorkspace, state: ModelState, model: SbdMo
         abs_w2 = (lam_w0.real**2 + lam_w0.imag**2)[:, None]
         shifts = lat.blur_support - lat.n_v // 2
         s_inv = ws.s_inv
-        dr, dc = ws.pixel_dr, ws.pixel_dc
 
         # subtracted Kronecker part of the covariance derivative
         g_mat = ws.w0_dense @ img.r_star_v
@@ -207,7 +194,7 @@ def grad_potential(omega, ws: MarginalWorkspace, state: ModelState, model: SbdMo
                                          - (sigma_c2 * a_i[:, None] * img.theta)
                                          * base_grid2)
             base_dz = np.fft.ifft2(lam_z_dot).real
-            grad_logdet[i] -= float(np.sum(s_inv * base_dz[dr, dc]))
+            grad_logdet[i] -= float(np.sum(s_inv * base_dz[img.pixel_offsets]))
             # + sigma_c2 v^T (R*_h (x) D*_i) v with D*_i assembled from shifts
             s_i = shifts[i]
             t1 = float(np.sum(gtv * np.roll(m_tilde, -s_i, axis=0)))
@@ -250,7 +237,10 @@ def hmc_update(state: ModelState, model: SbdModel, cfg: HmcConfig, streams) -> H
     """One Metropolis-adjusted trajectory; on reject the blur stays put.
 
     The momentum is preconditioned with the inverse prior covariance
-    M = (sigma_w^2 R_omega)^{-1}, refreshed at the current sigma_w^2.
+    M = (sigma_w^2 R_omega)^{-1}, refreshed at the current sigma_w^2.  The
+    potential is evaluated once per position, steps + 1 times in all: the
+    start point's workspace serves the first half-kick.  A start point or
+    trajectory the potential cannot evaluate returns a divergent result.
     """
     omega0 = state.omega.copy()
     sw = np.sqrt(state.sigma_w2)
@@ -263,23 +253,19 @@ def hmc_update(state: ModelState, model: SbdModel, cfg: HmcConfig, streams) -> H
     def kinetic(p):
         return 0.5 * state.sigma_w2 * float(p @ (model.blur.r_omega @ p))
 
-    cache = {}
+    last = {}
 
     def grad_u(w):
-        u, ws = potential(w, state, model)
-        cache["omega"], cache["u"] = w.copy(), u
-        return grad_potential(w, ws, state, model)
+        if not np.array_equal(last["ws"].omega, w):
+            last["u"], last["ws"] = potential(w, state, model)
+        return grad_potential(w, last["ws"], state, model)
 
-    u0, _ = potential(omega0, state, model)
-    h0 = u0 + kinetic(p0)
     try:
+        last["u"], last["ws"] = potential(omega0, state, model)
+        h0 = last["u"] + kinetic(p0)
         omega1, p1 = leapfrog(omega0, p0, cfg.step_size, cfg.steps, grad_u, m_inv)
-        if np.array_equal(cache.get("omega"), omega1):
-            u1 = cache["u"]
-        else:  # pragma: no cover - final gradient always lands on omega1
-            u1, _ = potential(omega1, state, model)
-        h1 = u1 + kinetic(p1)
-        delta_h = h1 - h0
+        # the last gradient was taken at omega1
+        delta_h = last["u"] + kinetic(p1) - h0
     except (NonFiniteTrajectory, IndefiniteY, IndefiniteS):
         return HmcResult(omega0, False, np.inf, cfg.step_size, divergent=True)
 

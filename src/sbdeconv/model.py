@@ -22,7 +22,7 @@ from .errors import (
     OddLattice,
 )
 from .fourier import CirculantMatrix, convolve_columns, kernel_eigs
-from .gauss import spd_factor, spd_solve
+from .gauss import krige, spd_factor, spd_solve
 
 
 @dataclass(frozen=True)
@@ -275,10 +275,13 @@ class ImagePrior:
     """Zero-mean separable image prior with m exactly observed pixels.
 
     ``theta`` and ``base`` are the eigenvalue and base grids of the
-    correlation BCCB R_c = R_{c,h} (x) R_{c,v}.  When the constrained pixels
-    form a rows x cols product, the subtracted covariance term factors as a
-    Kronecker product of one smoother per direction (``r_star_v/h``), which
-    the marginal blur update requires.
+    correlation BCCB R_c = R_{c,h} (x) R_{c,v}.  ``pixel_index`` holds the
+    (rows, cols) of the constrained pixels and ``pixel_offsets`` their m x m
+    cyclic row and column offsets, so ``base[pixel_offsets]`` is the pixel
+    block of R_c.  When the constrained pixels form a rows x cols product,
+    the subtracted covariance term factors as a Kronecker product of one
+    smoother per direction (``r_star_v/h``), which the marginal blur update
+    requires.
     """
 
     r_cv: CirculantMatrix
@@ -288,6 +291,8 @@ class ImagePrior:
     c_obs: np.ndarray
     mu_tilde: np.ndarray
     mu_conv_eigs: np.ndarray
+    pixel_index: tuple
+    pixel_offsets: tuple
     kron_rows: np.ndarray | None = None
     kron_cols: np.ndarray | None = None
     r_star_v: np.ndarray | None = None
@@ -300,13 +305,6 @@ class ImagePrior:
     @property
     def is_kron(self):
         return self.kron_rows is not None or self.m == 0
-
-    def correlation_submatrix(self, pixels):
-        """R_c restricted to the given pixels, read off the base grid."""
-        n_v, n_h = self.base.shape
-        dr = (pixels[:, 0][:, None] - pixels[:, 0][None, :]) % n_v
-        dc = (pixels[:, 1][:, None] - pixels[:, 1][None, :]) % n_h
-        return self.base[dr, dc]
 
 
 def _one_direction_star(corr: CirculantMatrix, idx):
@@ -336,35 +334,30 @@ def build_image_prior(lattice: LatticeSpec, hp: HyperParams, c_obs,
             "constrained column"
         )
 
-    mu = np.zeros((lattice.n_v, lattice.n_h))
+    index = (px[:, 0], px[:, 1])
+    offsets = ((px[:, 0][:, None] - px[:, 0][None, :]) % lattice.n_v,
+               (px[:, 1][:, None] - px[:, 1][None, :]) % lattice.n_h)
+    # the constrained prior mean is a zero field Kriged onto c_o
+    mu = krige(np.zeros(theta.shape), theta, index,
+               spd_solve(base[offsets], -c_obs), c_obs)
     r_star_v = r_star_h = None
     rows = cols = None
-    if len(px):
-        if kron is not None:
-            rows, cols = kron
-            dense_v = r_cv.dense().real
-            dense_h = r_ch.dense().real
-            smoother_v = dense_v[:, rows] @ np.linalg.inv(dense_v[np.ix_(rows, rows)])
-            smoother_h = dense_h[:, cols] @ np.linalg.inv(dense_h[np.ix_(cols, cols)])
-            c_grid = c_obs.reshape(len(rows), len(cols), order="F")
-            mu = smoother_v @ c_grid @ smoother_h.T
-            r_star_v = _one_direction_star(r_cv, rows)
-            r_star_h = _one_direction_star(r_ch, cols)
-        else:
-            dr = (px[:, 0][:, None] - px[:, 0][None, :]) % lattice.n_v
-            dc = (px[:, 1][:, None] - px[:, 1][None, :]) % lattice.n_h
-            gram = base[dr, dc]
-            weights = spd_solve(gram, c_obs)
-            for (r, c), wgt in zip(px, weights):
-                mu += wgt * np.roll(base, (r, c), axis=(0, 1))
-    mu_eigs = kernel_eigs(mu)
-    return ImagePrior(r_cv, r_ch, theta, base, c_obs, mu, mu_eigs,
-                      rows, cols, r_star_v, r_star_h)
+    if len(px) and kron is not None:
+        rows, cols = kron
+        r_star_v = _one_direction_star(r_cv, rows)
+        r_star_h = _one_direction_star(r_ch, cols)
+    return ImagePrior(r_cv, r_ch, theta, base, c_obs, mu, kernel_eigs(mu),
+                      index, offsets, rows, cols, r_star_v, r_star_h)
 
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Separable stationary noise with derived variance psi*sigma_c^2*sigma_w^2*zeta."""
+    """Separable stationary noise with derived variance psi*sigma_c^2*sigma_w^2*zeta.
+
+    ``chol_obs_v`` and ``chol_obs_h`` are the ``cho_factor`` pairs of R_{d,v}
+    on the observed rows and of R_{d,h} on the observed columns; together
+    they solve the Kronecker Gram of the observed data window.
+    """
 
     r_dv: CirculantMatrix
     r_dh: CirculantMatrix
@@ -372,6 +365,8 @@ class NoiseModel:
     base: np.ndarray
     tau_offsets: np.ndarray
     tau_values: np.ndarray
+    chol_obs_v: tuple
+    chol_obs_h: tuple
     psi: float
 
     def sigma_d2(self, sigma_c2, sigma_w2, zeta):
@@ -391,7 +386,11 @@ def build_noise_model(lattice: LatticeSpec, hp: HyperParams) -> NoiseModel:
     tau_base = np.fft.ifft(1.0 / r_dh.eigs).real
     keep = np.abs(tau_base) >= TAU_SPARSITY_RTOL * np.abs(tau_base).max()
     offsets = np.flatnonzero(keep)
-    return NoiseModel(r_dv, r_dh, theta, base, offsets, tau_base[offsets], hp.psi)
+    rows, cols = lattice.data_rows, lattice.data_cols
+    chol_obs_v = spd_factor(r_dv.dense().real[np.ix_(rows, rows)])
+    chol_obs_h = spd_factor(r_dh.dense().real[np.ix_(cols, cols)])
+    return NoiseModel(r_dv, r_dh, theta, base, offsets, tau_base[offsets],
+                      chol_obs_v, chol_obs_h, hp.psi)
 
 
 @functools.lru_cache(maxsize=32)
@@ -404,13 +403,18 @@ def _impulse_eigs(n_v, start, k):
 
 @dataclass(frozen=True)
 class SbdModel:
-    """Immutable bundle of lattice geometry, priors, and noise structure."""
+    """Immutable bundle of lattice geometry, priors, and noise structure.
+
+    ``aux_index`` holds the column-major flat indices of the padding data
+    nodes.
+    """
 
     lattice: LatticeSpec
     hp: HyperParams
     blur: BlurPrior
     image: ImagePrior
     noise: NoiseModel
+    aux_index: np.ndarray
 
     @classmethod
     def build(cls, lattice: LatticeSpec, hp: HyperParams = None, c_obs=(),
@@ -422,6 +426,7 @@ class SbdModel:
             build_blur_prior(lattice, hp),
             build_image_prior(lattice, hp, c_obs, require_kron=require_kron),
             build_noise_model(lattice, hp),
+            lattice.aux_flat_index(),
         )
 
     def blur_impulse_eigs(self):
@@ -458,11 +463,6 @@ class ModelState:
             raise DimensionMismatch("blur state does not match the lattice")
         if self.c.shape != (lat.n_v, lat.n_h) or self.d.shape != (lat.n_v, lat.n_h):
             raise DimensionMismatch("field state does not match the lattice")
-
-
-def set_blur(state: ModelState, model: SbdModel, omega):
-    state.omega = np.asarray(omega, dtype=float)
-    state.w_star = embed_blur(state.omega, model.lattice)
 
 
 def ig_logpdf(x, alpha, beta):

@@ -41,6 +41,7 @@ from sbdeconv.gibbs import (
     sample_zeta,
     sigma_c_conditional,
     sigma_w_conditional,
+    sum_squares_data,
     zeta_conditional,
 )
 from sbdeconv.hmc import grad_potential, leapfrog, potential
@@ -315,14 +316,15 @@ class TestDistributionalChecks:
         model, data = desk_problem()
         streams = RngStreams(6)
         state = init_state_from_prior(model, data["d_obs"], streams)
+        ssd = sum_squares_data(state, model)
         results = []
         for cond, sampler, stream in (
             (sigma_w_conditional, sample_sigma_w, streams.sigma_w),
             (sigma_c_conditional, sample_sigma_c, streams.sigma_c),
             (zeta_conditional, sample_zeta, streams.zeta),
         ):
-            alpha, beta = cond(state, model)
-            draws = np.array([sampler(state, model, stream)
+            alpha, beta = cond(state, model, ssd)
+            draws = np.array([sampler(state, model, ssd, stream)
                               for _ in range(5000)])
             p = scipy.stats.kstest(draws / beta, "invgamma",
                                    args=(alpha,)).pvalue

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from sbdeconv.diagnostics import (
-    Trace,
     autocorrelation,
     energy_distance,
     energy_distance_test,
@@ -91,10 +90,6 @@ class TestRmse:
 
 
 class TestHelpers:
-    def test_trace_wrapper(self):
-        t = Trace([1.0, 2.0, 3.0], "x")
-        assert len(t) == 3
-
     def test_quantile_summary(self):
         q = quantile_summary(np.arange(101.0))
         assert q[0.5] == 50.0

@@ -241,7 +241,7 @@ class TestVarianceConditionals:
         lat = LatticeSpec.create(24, 1, 10, m_v=0, m_h=0)
         model = SbdModel.build(lat, HyperParams(), [])
         state = make_state(model)
-        alpha, _ = sigma_w_conditional(state, model)
+        alpha, _ = sigma_w_conditional(state, model, sum_squares_data(state, model))
         assert alpha == pytest.approx(2.01 + (24 + 10) / 2)
         assert alpha == pytest.approx(19.01)
 
@@ -259,7 +259,7 @@ class TestVarianceConditionals:
         state = make_state(model)
         state.d = convolve_columns(state.w_star, state.c)
         assert sum_squares_data(state, model) < 1e-18
-        _, beta = sigma_w_conditional(state, model)
+        _, beta = sigma_w_conditional(state, model, sum_squares_data(state, model))
         ssw = sum_squares_blur(state, model)
         assert beta == pytest.approx(model.hp.beta_w + ssw / 2)
 
@@ -270,23 +270,25 @@ class TestVarianceConditionals:
         assert sum_squares_image(state, model) >= 0
         assert sum_squares_blur(state, model) >= 0
         rng = np.random.default_rng(0)
+        ssd = sum_squares_data(state, model)
         for _ in range(100):
-            assert sample_sigma_c(state, model, rng) > 0
-            assert sample_sigma_w(state, model, rng) > 0
-            assert sample_zeta(state, model, rng) > 0
+            assert sample_sigma_c(state, model, ssd, rng) > 0
+            assert sample_sigma_w(state, model, ssd, rng) > 0
+            assert sample_zeta(state, model, ssd, rng) > 0
 
     def test_conditional_draws_match_inverse_gamma(self):
         # frozen state: conditional draws are exactly IG(alpha', beta')
         model = make_model()
         state = make_state(model, seed=13)
         rng = np.random.default_rng(77)
+        ssd = sum_squares_data(state, model)
         for cond, sampler, stream in (
             (sigma_w_conditional, sample_sigma_w, rng),
             (sigma_c_conditional, sample_sigma_c, rng),
             (zeta_conditional, sample_zeta, rng),
         ):
-            alpha, beta = cond(state, model)
-            draws = np.array([sampler(state, model, stream) for _ in range(4000)])
+            alpha, beta = cond(state, model, ssd)
+            draws = np.array([sampler(state, model, ssd, stream) for _ in range(4000)])
             p = scipy.stats.kstest(draws / beta, "invgamma", args=(alpha,)).pvalue
             assert p > 0.01
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from sbdeconv.errors import MaskNotKronecker, StaleWorkspace
+import sbdeconv.hmc
+from sbdeconv.errors import IndefiniteS, MaskNotKronecker, StaleWorkspace
 from sbdeconv.gauss import RngStreams
 from sbdeconv.hmc import (
     DualAveraging,
@@ -284,6 +285,37 @@ class TestHmcUpdate:
         res = hmc_update(state, model, cfg, streams)
         assert not res.accepted
         np.testing.assert_array_equal(res.omega, state.omega)
+
+    def test_failing_start_point_is_divergent(self, monkeypatch):
+        model = desk_model()
+        state = desk_state(model)
+        start = state.omega.copy()
+
+        def failing(omega, *args):
+            if np.array_equal(omega, start):
+                raise IndefiniteS("start point")
+            return potential(omega, *args)
+
+        monkeypatch.setattr(sbdeconv.hmc, "potential", failing)
+        res = hmc_update(state, model, HmcConfig(5, 0.01), RngStreams(4))
+        assert res.divergent and not res.accepted
+        np.testing.assert_array_equal(res.omega, start)
+
+    def test_one_potential_per_position(self, monkeypatch):
+        model = desk_model()
+        state = desk_state(model)
+        calls = []
+
+        def counting(*args):
+            calls.append(None)
+            return potential(*args)
+
+        monkeypatch.setattr(sbdeconv.hmc, "potential", counting)
+        for steps in (1, 5):
+            calls.clear()
+            res = hmc_update(state, model, HmcConfig(steps, 0.01), RngStreams(5))
+            assert not res.divergent
+            assert len(calls) == steps + 1
 
     def test_acceptance_rate_reasonable(self):
         model = desk_model()
