@@ -6,10 +6,11 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import DimensionMismatch
 from .fourier import convolve_columns
-from .gauss import FourierGaussian, RngStreams, krige, sample_fourier_gaussian, spd_solve
+from .gauss import FourierGaussian, RngStreams, krige, sample_fourier_gaussian
 from .gibbs import GibbsWorkspace, gibbs_sweep
 from .hmc import DualAveraging, HmcConfig
 from .model import ModelState, SbdModel, embed_blur
@@ -73,7 +74,7 @@ def sample_constrained_image(model: SbdModel, sigma_c2, rng):
     g = FourierGaussian(np.zeros(img.theta.shape, dtype=complex),
                         sigma_c2 * img.theta)
     c = sample_fourier_gaussian(g, rng)
-    weights = spd_solve(img.base[img.pixel_offsets], c[img.pixel_index] - img.c_obs)
+    weights = scipy.linalg.cho_solve(img.pixel_chol, c[img.pixel_index] - img.c_obs)
     return krige(c, img.theta, img.pixel_index, weights, img.c_obs)
 
 
@@ -138,7 +139,7 @@ def run_chain(model: SbdModel, d_obs, cfg: SamplerConfig,
         if cfg.hmc_adapt:
             adapter = DualAveraging(cfg.hmc_step_size, target=cfg.hmc_target_accept)
 
-    counters = {"blur_gibbs": 0, "blur_hmc": 0, "hmc_accept": 0}
+    counters = {"blur_gibbs": 0, "blur_hmc": 0, "hmc_accept": 0, "hmc_divergent": 0}
     kept = 0
     t0 = time.perf_counter()
     for it in range(cfg.iterations):

@@ -71,10 +71,6 @@ class NonPositiveScale(ModelError):
     pass
 
 
-class IndefiniteY(ModelError):
-    pass
-
-
 class IndefiniteS(ModelError):
     pass
 

@@ -84,9 +84,9 @@ def sample_blur_fc(state: ModelState, model: SbdModel, rng, ws: GibbsWorkspace =
     w = sample_fourier_gaussian(FourierGaussian(mean_hat, eig_cov), rng)
 
     base = np.fft.ifft(eig_cov).real                     # base of Sigma_{w|d}
-    free = lat.blur_free
-    gram = base[(free[:, None] - free[None, :]) % lat.n_v]
-    w_star = krige(w, eig_cov, free, spd_solve(gram, w[free]), 0.0)
+    free = model.blur.free
+    weights = spd_solve(base[model.blur.free_offsets], w[free])
+    w_star = krige(w, eig_cov, free, weights, 0.0)
     omega = w_star[lat.blur_support].copy()
     return embed_blur(omega, lat), omega
 
@@ -220,6 +220,8 @@ def gibbs_sweep(state: ModelState, model: SbdModel, streams, alpha=0.0,
         if counters is not None:
             counters["blur_hmc"] = counters.get("blur_hmc", 0) + 1
             counters["hmc_accept"] = counters.get("hmc_accept", 0) + int(result.accepted)
+            counters["hmc_divergent"] = (counters.get("hmc_divergent", 0)
+                                         + int(result.divergent))
             counters["last_delta_h"] = result.delta_h
             counters["last_accept"] = result.accepted
     else:

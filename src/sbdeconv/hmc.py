@@ -17,7 +17,6 @@ import scipy.linalg
 
 from .errors import (
     IndefiniteS,
-    IndefiniteY,
     MaskNotKronecker,
     NonFiniteTrajectory,
     StaleWorkspace,
@@ -55,7 +54,6 @@ class MarginalWorkspace:
     lam_a: np.ndarray            # eigen grid of W Sigma_c W^T + Sigma_d
     dbar: np.ndarray
     dbar_hat: np.ndarray         # unitary DFT2 of dbar
-    w0_dense: np.ndarray
     # m > 0 only:
     chol_mc: np.ndarray | None = None
     chol_s: np.ndarray | None = None
@@ -90,16 +88,11 @@ def potential(omega, state: ModelState, model: SbdModel):
     quad = float(np.sum((dbar_hat.real**2 + dbar_hat.imag**2) / lam_a))
     logdet = float(np.sum(np.log(lam_a)))
 
-    idx = np.arange(lat.n_v)
-    w0_dense = w_star[(idx[:, None] - idx[None, :] + lat.n_v // 2) % lat.n_v]
-    ws = MarginalWorkspace(omega.copy(), lam_w0, lam_a, dbar, dbar_hat, w0_dense)
+    ws = MarginalWorkspace(omega.copy(), lam_w0, lam_a, dbar, dbar_hat)
 
     if img.m > 0:
         mc = sigma_c2 * img.base[img.pixel_offsets]
-        try:
-            chol_mc = scipy.linalg.cholesky(mc, lower=True)
-        except scipy.linalg.LinAlgError as exc:
-            raise IndefiniteY("image constraint block not positive definite") from exc
+        chol_mc = np.sqrt(sigma_c2) * img.pixel_chol[0]
 
         lam_z = (sigma_c2**2) * img.theta**2 * abs_w2 / lam_a
         base_z = np.fft.ifft2(lam_z).real
@@ -137,15 +130,19 @@ def potential(omega, state: ModelState, model: SbdModel):
 def grad_potential(omega, ws: MarginalWorkspace, state: ModelState, model: SbdModel):
     """Gradient of the marginal potential with respect to the effective blur.
 
-    Assembled per support coordinate from precomputed impulse eigenvalues;
-    the n_v -> k selection of the chain rule keeps only central entries.
+    Every term is a product of eigenvalue grids reduced over the columns and
+    contracted with the k x n_v impulse eigenvalues of dW0/d omega, so the
+    cost does not grow with k beyond that one product.  With a constraint
+    mask, S^{-1} scattered onto the pixel-offset grid meets the derivative
+    of the Schur block through one FFT (Parseval), and the subtracted
+    Kronecker part of the quadratic form becomes a circular
+    cross-correlation down the columns, read at the support shifts.
     """
     omega = np.asarray(omega, dtype=float)
     if ws.omega.shape != omega.shape or not np.array_equal(ws.omega, omega):
         raise StaleWorkspace("workspace was built for a different blur value")
     lat = model.lattice
     img = model.image
-    k = omega.size
     sigma_c2 = state.sigma_c2
 
     lam_dot = model.blur_impulse_eigs()          # (k, n_v)
@@ -176,35 +173,30 @@ def grad_potential(omega, ws: MarginalWorkspace, state: ModelState, model: SbdMo
     grad_quad = -sigma_c2 * (a_all @ (theta_cv * rowagg))
 
     if img.m > 0:
+        # log|Y| via -tr(S^{-1} A_c dZ_i A_c^T), dZ_i = sigma_c2^2 ifft2(a_i g_grid)
         abs_w2 = (lam_w0.real**2 + lam_w0.imag**2)[:, None]
-        shifts = lat.blur_support - lat.n_v // 2
-        s_inv = ws.s_inv
+        g_grid = (img.theta**2 / lam_a
+                  - sigma_c2 * img.theta**3 * abs_w2 / lam_a**2)
+        s_grid = np.bincount(img.pixel_offsets_flat, weights=ws.s_inv.ravel(),
+                             minlength=lat.n).reshape(lam_a.shape)
+        s_hat = np.fft.fft2(s_grid).real
+        grad_logdet -= sigma_c2**2 / lat.n * (a_all @ np.sum(g_grid * s_hat, axis=1))
 
-        # subtracted Kronecker part of the covariance derivative
-        g_mat = ws.w0_dense @ img.r_star_v
-        gtv = g_mat.T @ v
+        # + sigma_c2 v^T (R*_h (x) D*_i) v with D*_i = dW0_i R*_v W0^T
+        # + W0 R*_v dW0_i^T: both halves are cross-correlations down the columns
+        v_cols = np.fft.fft(v, axis=0)
+        gtv = img.r_star_v.T @ np.fft.ifft(np.conj(lam_w0)[:, None] * v_cols,
+                                           axis=0).real
         m_tilde = v @ img.r_star_h
         k_mat = gtv @ img.r_star_h
-        base_grid = img.theta**2 / lam_a
-        base_grid2 = img.theta**2 * abs_w2 / lam_a**2
-        for i in range(k):
-            a_i = a_all[i]
-            # log|Y| via  -tr(S^{-1} A_c dZ A_c^T)
-            lam_z_dot = (sigma_c2**2) * (a_i[:, None] * base_grid
-                                         - (sigma_c2 * a_i[:, None] * img.theta)
-                                         * base_grid2)
-            base_dz = np.fft.ifft2(lam_z_dot).real
-            grad_logdet[i] -= float(np.sum(s_inv * base_dz[img.pixel_offsets]))
-            # + sigma_c2 v^T (R*_h (x) D*_i) v with D*_i assembled from shifts
-            s_i = shifts[i]
-            t1 = float(np.sum(gtv * np.roll(m_tilde, -s_i, axis=0)))
-            t2 = float(np.sum(np.roll(v, -s_i, axis=0) * k_mat))
-            grad_quad[i] += sigma_c2 * (t1 + t2)
+        cross = (np.conj(np.fft.fft(gtv, axis=0)) * np.fft.fft(m_tilde, axis=0)
+                 + np.conj(np.fft.fft(k_mat, axis=0)) * v_cols)
+        t12 = np.fft.ifft(np.sum(cross, axis=1)).real
+        shifts = lat.blur_support - lat.n_v // 2
+        grad_quad += sigma_c2 * t12[shifts % lat.n_v]
 
         # mean dependence: dbar = d - B w*, contributing -2 B^T v
-        vcols = np.fft.ifft(vhat, axis=1, norm="ortho")
-        btv_hat = np.sum(np.conj(img.mu_conv_eigs) * vcols, axis=1)
-        btv = np.fft.ifft(btv_hat, norm="ortho").real
+        btv = np.fft.ifft(np.sum(np.conj(img.mu_conv_eigs) * v_cols, axis=1)).real
         grad_quad -= 2.0 * btv[lat.blur_support]
 
     return grad + 0.5 * (grad_logdet + grad_quad)
@@ -266,7 +258,7 @@ def hmc_update(state: ModelState, model: SbdModel, cfg: HmcConfig, streams) -> H
         omega1, p1 = leapfrog(omega0, p0, cfg.step_size, cfg.steps, grad_u, m_inv)
         # the last gradient was taken at omega1
         delta_h = last["u"] + kinetic(p1) - h0
-    except (NonFiniteTrajectory, IndefiniteY, IndefiniteS):
+    except (NonFiniteTrajectory, IndefiniteS):
         return HmcResult(omega0, False, np.inf, cfg.step_size, divergent=True)
 
     if not np.isfinite(delta_h) or abs(delta_h) > cfg.divergence_threshold:

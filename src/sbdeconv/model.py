@@ -221,7 +221,9 @@ class BlurPrior:
 
     A stationary circulant on one column is conditioned to vanish off the
     central support; the k x k block of the conditioned correlation is the
-    full-rank effective-blur correlation.
+    full-rank effective-blur correlation.  ``free`` holds the n_v - k
+    coordinates off the support and ``free_offsets`` their cyclic offsets,
+    so ``base[free_offsets]`` is the free block of a circulant with ``base``.
     """
 
     r_w: CirculantMatrix
@@ -229,6 +231,8 @@ class BlurPrior:
     r_omega: np.ndarray
     chol_r_omega: np.ndarray
     logdet_r_omega: float
+    free: np.ndarray
+    free_offsets: np.ndarray
 
     @property
     def k(self):
@@ -260,7 +264,8 @@ def build_blur_prior(lattice: LatticeSpec, hp: HyperParams) -> BlurPrior:
     chol = spd_factor(r_omega)[0]
     chol = np.tril(chol)
     logdet = 2.0 * np.log(np.diag(chol)).sum()
-    return BlurPrior(r_w, r_tilde, r_omega, chol, logdet)
+    free_offsets = (free[:, None] - free[None, :]) % n_v
+    return BlurPrior(r_w, r_tilde, r_omega, chol, logdet, free, free_offsets)
 
 
 def embed_blur(omega, lattice: LatticeSpec):
@@ -278,10 +283,13 @@ class ImagePrior:
     correlation BCCB R_c = R_{c,h} (x) R_{c,v}.  ``pixel_index`` holds the
     (rows, cols) of the constrained pixels and ``pixel_offsets`` their m x m
     cyclic row and column offsets, so ``base[pixel_offsets]`` is the pixel
-    block of R_c.  When the constrained pixels form a rows x cols product,
-    the subtracted covariance term factors as a Kronecker product of one
-    smoother per direction (``r_star_v/h``), which the marginal blur update
-    requires.
+    block of R_c and ``pixel_chol`` its lower Cholesky factor, as a
+    ``cho_factor`` pair with a zero upper triangle.  ``pixel_offsets_flat``
+    holds the offsets as flat indices into the n_v x n_h lattice, raveled,
+    so ``np.bincount`` scatters an m x m block onto the offset grid.  When
+    the constrained pixels form a rows x cols product, the subtracted
+    covariance term factors as a Kronecker product of one smoother per
+    direction (``r_star_v/h``), which the marginal blur update requires.
     """
 
     r_cv: CirculantMatrix
@@ -293,6 +301,8 @@ class ImagePrior:
     mu_conv_eigs: np.ndarray
     pixel_index: tuple
     pixel_offsets: tuple
+    pixel_chol: tuple
+    pixel_offsets_flat: np.ndarray
     kron_rows: np.ndarray | None = None
     kron_cols: np.ndarray | None = None
     r_star_v: np.ndarray | None = None
@@ -337,9 +347,11 @@ def build_image_prior(lattice: LatticeSpec, hp: HyperParams, c_obs,
     index = (px[:, 0], px[:, 1])
     offsets = ((px[:, 0][:, None] - px[:, 0][None, :]) % lattice.n_v,
                (px[:, 1][:, None] - px[:, 1][None, :]) % lattice.n_h)
+    chol, lower = spd_factor(base[offsets])
+    pixel_chol = (np.tril(chol), lower)
     # the constrained prior mean is a zero field Kriged onto c_o
     mu = krige(np.zeros(theta.shape), theta, index,
-               spd_solve(base[offsets], -c_obs), c_obs)
+               scipy.linalg.cho_solve(pixel_chol, -c_obs), c_obs)
     r_star_v = r_star_h = None
     rows = cols = None
     if len(px) and kron is not None:
@@ -347,7 +359,9 @@ def build_image_prior(lattice: LatticeSpec, hp: HyperParams, c_obs,
         r_star_v = _one_direction_star(r_cv, rows)
         r_star_h = _one_direction_star(r_ch, cols)
     return ImagePrior(r_cv, r_ch, theta, base, c_obs, mu, kernel_eigs(mu),
-                      index, offsets, rows, cols, r_star_v, r_star_h)
+                      index, offsets, pixel_chol,
+                      np.ravel_multi_index(offsets, theta.shape).ravel(),
+                      rows, cols, r_star_v, r_star_h)
 
 
 @dataclass(frozen=True)

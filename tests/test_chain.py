@@ -10,6 +10,7 @@ from sbdeconv.chain import (
     sample_constrained_image,
 )
 from sbdeconv.errors import DimensionMismatch
+from sbdeconv.experiments import SimRecipe, simulate_dataset
 from sbdeconv.gauss import RngStreams
 from sbdeconv.model import CorrelationSpec, HyperParams, LatticeSpec, SbdModel
 
@@ -92,6 +93,34 @@ class TestRunChain:
         assert np.all(post == post[0])
         # adaptation actually moved the step during burn-in
         assert len(set(out.hmc_eps[:30])) > 1
+
+    def test_divergences_counted(self):
+        # the 8x3 / m=2 / k=6 desk problem on a simulated dataset
+        recipe = SimRecipe(n_v_obs=6, n_h_obs=2, blur_len=6, embed_factor=4,
+                           seed=101, hp=DESK_HP)
+        data = simulate_dataset(recipe)
+        rows = [2, 3]
+        lat = LatticeSpec.create(6, 2, 6, m_v=2, m_h=1, image_rows=rows,
+                                 image_cols=[data["obs_col"]])
+        model = SbdModel.build(lat, DESK_HP, data["c_true"][rows, data["obs_col"]])
+        d_obs = data["d_obs"]
+
+        wild = SamplerConfig(alpha=1.0, iterations=20, seed=6, hmc_steps=5,
+                             hmc_step_size=50.0, hmc_adapt=False)
+        out = run_chain(model, d_obs, wild)
+        assert out.counters["hmc_divergent"] == out.counters["blur_hmc"] == 20
+        assert out.manifest["counters"]["hmc_divergent"] == 20
+
+        state = init_state_from_prior(model, d_obs, RngStreams(7))
+        warm = run_chain(model, d_obs, SamplerConfig(alpha=0.0, iterations=200,
+                                                     seed=7), state=state)
+        assert warm.counters["hmc_divergent"] == 0
+        normal = SamplerConfig(alpha=1.0, iterations=200, seed=8, hmc_steps=5,
+                               hmc_step_size=0.01, hmc_adapt=False)
+        out = run_chain(model, d_obs, normal, state=state)
+        assert out.counters["blur_hmc"] == 200
+        assert out.counters["hmc_divergent"] == 0
+        assert out.manifest["counters"]["hmc_divergent"] == 0
 
     def test_invalid_lengths_rejected(self):
         with pytest.raises(DimensionMismatch):

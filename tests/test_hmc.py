@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import example, given, settings, strategies as st
 
 import sbdeconv.hmc
 from sbdeconv.errors import IndefiniteS, MaskNotKronecker, StaleWorkspace
@@ -147,6 +148,56 @@ class TestGradient:
         _, ws = potential(state.omega, state, model)
         with pytest.raises(StaleWorkspace):
             grad_potential(state.omega + 0.1, ws, state, model)
+
+
+@st.composite
+def kron_lattices(draw):
+    """Even n_v from 4 to 12, n_h from 1 to 4, k from 1 to n_v - 1, and an
+    empty, one-column or several-rows x several-columns constraint mask."""
+    n_v = 2 * draw(st.integers(2, 6))
+    n_h = draw(st.integers(1, 4))
+    k = draw(st.integers(1, n_v - 1))
+    masks = ("empty", "column", "kron") if n_h > 1 else ("empty", "column")
+    mask = draw(st.sampled_from(masks))
+    rows = cols = ()
+    if mask == "column":
+        rows = draw(st.lists(st.integers(0, n_v - 1), min_size=1, unique=True))
+        cols = [draw(st.integers(0, n_h - 1))]
+    elif mask == "kron":
+        rows = draw(st.lists(st.integers(0, n_v - 1), min_size=2, unique=True))
+        cols = draw(st.lists(st.integers(0, n_h - 1), min_size=2, unique=True))
+    return LatticeSpec.create(n_v, n_h, k, m_v=0, m_h=0, image_rows=rows,
+                              image_cols=cols)
+
+
+class TestGradientProperty:
+    # k = n_v - 1 puts support shifts at both ends of the column, where the
+    # cross-correlation index shifts % n_v wraps around
+    @settings(max_examples=100, deadline=None)
+    @given(lat=kron_lattices(), seed=st.integers(0, 2**32 - 1))
+    @example(lat=LatticeSpec.create(12, 3, 11, m_v=0, m_h=0, image_rows=(0, 5, 11),
+                                    image_cols=(0, 2)), seed=0)
+    @example(lat=LatticeSpec.create(4, 1, 3, m_v=0, m_h=0, image_rows=(3,),
+                                    image_cols=(0,)), seed=1)
+    def test_matches_dense_finite_differences(self, lat, seed):
+        gen = np.random.default_rng(seed)
+        model = SbdModel.build(lat, DESK_HP, gen.standard_normal(lat.m) * 0.05,
+                               require_kron=True)
+        omega = gen.standard_normal(lat.blur_len) * 0.8
+        state = ModelState(
+            omega=omega, w_star=embed_blur(omega, lat),
+            c=gen.standard_normal((lat.n_v, lat.n_h)) * 0.05,
+            d=gen.standard_normal((lat.n_v, lat.n_h)) * 0.1,
+            sigma_c2=float(np.exp(gen.uniform(-7, -4))),
+            sigma_w2=float(np.exp(gen.uniform(0, 2))),
+            zeta=float(np.exp(gen.uniform(-3, -1))), psi=model.hp.psi,
+        )
+        _, ws = potential(omega, state, model)
+        g = grad_potential(omega, ws, state, model)
+        g_fd = fd_gradient(lambda w: dense_marginal_potential(w, state, model),
+                           omega, 1e-5)
+        rel = np.abs(g - g_fd) / np.maximum(np.abs(g_fd), 1e-8)
+        assert rel.max() < 1e-4
 
 
 class TestLeapfrog:
