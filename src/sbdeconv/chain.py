@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
 import time
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, MaskNotKronecker, NuggetRetry
 from .fourier import convolve_columns
 from .gauss import FourierGaussian, RngStreams, krige, sample_fourier_gaussian
 from .gibbs import GibbsWorkspace, gibbs_sweep
@@ -104,9 +106,36 @@ def init_state_from_prior(model: SbdModel, d_obs, streams: RngStreams) -> ModelS
     return state
 
 
+@contextlib.contextmanager
+def _counting_nugget_retries(counters):
+    """Count ``NuggetRetry`` warnings into ``counters``; re-issue the rest."""
+    caught = []
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", NuggetRetry)
+            yield
+    finally:
+        counters["nugget_retries"] = sum(issubclass(w.category, NuggetRetry)
+                                         for w in caught)
+        for w in caught:
+            if not issubclass(w.category, NuggetRetry):
+                warnings.warn_explicit(w.message, w.category, w.filename,
+                                       w.lineno, source=w.source)
+
+
 def run_chain(model: SbdModel, d_obs, cfg: SamplerConfig,
               state: ModelState = None) -> ChainOutput:
-    """Run one chain and collect retained post-burn-in traces."""
+    """Run one chain and collect retained post-burn-in traces.
+
+    A chain with HMC blur moves (``alpha > 0``) on a constraint mask that is
+    not a rows x columns product raises ``MaskNotKronecker`` before anything
+    is drawn.  Nugget retries of the Cholesky factorizations in the sweeps
+    are counted in ``counters["nugget_retries"]``.
+    """
+    if cfg.alpha > 0.0 and not model.image.is_kron:
+        raise MaskNotKronecker(
+            "HMC blur moves (alpha > 0) need a rows x columns image constraint mask"
+        )
     lat = model.lattice
     streams = RngStreams(cfg.seed)
     if state is None:
@@ -139,38 +168,40 @@ def run_chain(model: SbdModel, d_obs, cfg: SamplerConfig,
         if cfg.hmc_adapt:
             adapter = DualAveraging(cfg.hmc_step_size, target=cfg.hmc_target_accept)
 
-    counters = {"blur_gibbs": 0, "blur_hmc": 0, "hmc_accept": 0, "hmc_divergent": 0}
+    counters = {"blur_gibbs": 0, "blur_hmc": 0, "hmc_accept": 0,
+                "hmc_divergent": 0, "nugget_retries": 0}
     kept = 0
     t0 = time.perf_counter()
-    for it in range(cfg.iterations):
-        if use_hmc and adapter is not None and it == cfg.burn_in:
-            hmc_cfg.step_size = adapter.adapted       # freeze after burn-in
-        before = counters["blur_hmc"]
-        gibbs_sweep(state, model, streams, alpha=cfg.alpha, hmc_cfg=hmc_cfg, ws=ws,
-                    counters=counters)
-        if counters["blur_hmc"] > before:
-            dh = counters.get("last_delta_h", np.nan)
-            hmc_dh.append(dh)
-            hmc_acc.append(counters.get("last_accept", False))
-            hmc_eps.append(hmc_cfg.step_size)
-            if adapter is not None and it < cfg.burn_in:
-                if not np.isfinite(dh):
-                    a_prob = 0.0
-                else:
-                    a_prob = 1.0 if dh <= 0 else float(np.exp(-dh))
-                hmc_cfg.step_size = adapter.update(a_prob)
+    with _counting_nugget_retries(counters):
+        for it in range(cfg.iterations):
+            if use_hmc and adapter is not None and it == cfg.burn_in:
+                hmc_cfg.step_size = adapter.adapted       # freeze after burn-in
+            before = counters["blur_hmc"]
+            gibbs_sweep(state, model, streams, alpha=cfg.alpha, hmc_cfg=hmc_cfg,
+                        ws=ws, counters=counters)
+            if counters["blur_hmc"] > before:
+                dh = counters.get("last_delta_h", np.nan)
+                hmc_dh.append(dh)
+                hmc_acc.append(counters.get("last_accept", False))
+                hmc_eps.append(hmc_cfg.step_size)
+                if adapter is not None and it < cfg.burn_in:
+                    if not np.isfinite(dh):
+                        a_prob = 0.0
+                    else:
+                        a_prob = 1.0 if dh <= 0 else float(np.exp(-dh))
+                    hmc_cfg.step_size = adapter.update(a_prob)
 
-        if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thin == 0:
-            out_omega[kept] = state.omega
-            out_sc[kept] = state.sigma_c2
-            out_sw[kept] = state.sigma_w2
-            out_zt[kept] = state.zeta
-            if c_index.size:
-                out_c[kept] = np.ravel(state.c, order="F")[c_index]
-            d_flat = np.ravel(state.d, order="F")
-            out_dmean[kept] = d_flat[aux].mean() if aux.size else 0.0
-            out_dsd[kept] = d_flat[aux].std() if aux.size else 0.0
-            kept += 1
+            if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thin == 0:
+                out_omega[kept] = state.omega
+                out_sc[kept] = state.sigma_c2
+                out_sw[kept] = state.sigma_w2
+                out_zt[kept] = state.zeta
+                if c_index.size:
+                    out_c[kept] = np.ravel(state.c, order="F")[c_index]
+                d_flat = np.ravel(state.d, order="F")
+                out_dmean[kept] = d_flat[aux].mean() if aux.size else 0.0
+                out_dsd[kept] = d_flat[aux].std() if aux.size else 0.0
+                kept += 1
     elapsed = time.perf_counter() - t0
     counters = {k: v for k, v in counters.items() if not k.startswith("last_")}
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception and warning types shared across the package.
 
 The CLI maps the three top-level categories onto distinct exit codes:
 ConfigError -> 2, IoError -> 3, ModelError -> 4.
@@ -55,6 +55,10 @@ class ConstraintViolated(ModelError):
 
 class IllConditioned(ModelError):
     pass
+
+
+class NuggetRetry(UserWarning):
+    """A Cholesky factorization succeeded only after the nugget retry."""
 
 
 # --- model / samplers ---

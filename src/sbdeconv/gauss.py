@@ -9,6 +9,7 @@ dense reference on explicit covariance columns.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,7 @@ from .errors import (
     DimensionMismatch,
     IllConditioned,
     NegativeEigenvalue,
+    NuggetRetry,
     SingularConstraintGram,
     SingularInnovation,
 )
@@ -30,13 +32,17 @@ NEG_EIG_RTOL = 1e-10
 def spd_factor(mat):
     """Cholesky with one nugget retry.
 
-    On factorization failure a nugget of 1e-10 * trace/n is added once; the
-    near-singular small solves come from long-range correlation matrices.
+    On factorization failure a nugget of 1e-10 * trace/n is added once and a
+    ``NuggetRetry`` warning is issued; the near-singular small solves come
+    from long-range correlation matrices.
     """
     mat = np.asarray(mat, dtype=float)
     try:
         return scipy.linalg.cho_factor(mat, lower=True)
     except scipy.linalg.LinAlgError:
+        warnings.warn(NuggetRetry(f"{mat.shape[0]}x{mat.shape[0]} Cholesky "
+                                  "factorization needed the nugget retry"),
+                      stacklevel=2)
         nugget = 1e-10 * np.trace(mat) / mat.shape[0]
         try:
             return scipy.linalg.cho_factor(

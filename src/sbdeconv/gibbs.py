@@ -19,17 +19,20 @@ from .model import ModelState, SbdModel, embed_blur
 
 
 class GibbsWorkspace:
-    """Per-sweep caches keyed on the image; invalidated when c changes.
+    """Per-sweep caches keyed on the image and on the data.
 
     Holds the per-column convolution eigenvalues of the current image and
     the eigenvalue vector of Gamma^T R_d^{-1} Gamma assembled from the sparse
-    horizontal noise precision.
+    horizontal noise precision, invalidated when c changes, and the unitary
+    DFT2 of the current data, which the blur update and the image FC share.
     """
 
     def __init__(self):
         self._c_ref = None
         self.gamma_eigs = None
         self.lam_gram = None
+        self._d_ref = None
+        self._dhat = None
 
     def refresh(self, state: ModelState, model: SbdModel):
         # image updates replace the array rather than mutating it, so object
@@ -42,6 +45,14 @@ class GibbsWorkspace:
 
     def invalidate(self):
         self._c_ref = None
+
+    def data_hat(self, state: ModelState):
+        """Unitary DFT2 of ``state.d``, taken once per data array."""
+        # the aux-data FC replaces d rather than mutating it
+        if state.d is not self._d_ref:
+            self._dhat = np.fft.fft2(state.d, norm="ortho")
+            self._d_ref = state.d
+        return self._dhat
 
 
 def gamma_precision_eigs(gamma_eigs, model: SbdModel):
@@ -69,7 +80,7 @@ def blur_fc_params(state: ModelState, model: SbdModel, ws: GibbsWorkspace = None
 
     eig_cov = 1.0 / (1.0 / (state.sigma_w2 * theta_rw) + ws.lam_gram / sigma_d2)
 
-    dhat = np.fft.fft2(state.d, norm="ortho")
+    dhat = ws.data_hat(state)
     y2 = dhat / (sigma_d2 * model.noise.theta)          # DFT2 of Sigma_d^{-1} d
     ycols = np.fft.ifft(y2, axis=1, norm="ortho")        # column DFTs
     bhat = np.sum(np.conj(ws.gamma_eigs) * ycols, axis=1)
@@ -91,8 +102,10 @@ def sample_blur_fc(state: ModelState, model: SbdModel, rng, ws: GibbsWorkspace =
     return embed_blur(omega, lat), omega
 
 
-def image_fc_params(state: ModelState, model: SbdModel):
+def image_fc_params(state: ModelState, model: SbdModel, ws: GibbsWorkspace = None):
     """Fourier-domain mean grid and covariance eigen grid of the image conditional."""
+    if ws is None:
+        ws = GibbsWorkspace()
     theta_w = kernel_eigs(state.w_star)[:, None]
     theta_rc = model.image.theta
     theta_rd = model.noise.theta
@@ -100,16 +113,16 @@ def image_fc_params(state: ModelState, model: SbdModel):
     noise_eig = state.sigma_d2 * theta_rd
     denom = np.abs(theta_w) ** 2 * prior_eig + noise_eig
 
-    dhat = np.fft.fft2(state.d, norm="ortho")
+    dhat = ws.data_hat(state)
     mean_hat = prior_eig * np.conj(theta_w) * dhat / denom
     eig_cov = prior_eig * noise_eig / denom
     return mean_hat, eig_cov
 
 
-def sample_image_fc(state: ModelState, model: SbdModel, rng):
+def sample_image_fc(state: ModelState, model: SbdModel, rng, ws: GibbsWorkspace = None):
     """Draw the extended image; exactly observed pixels land exactly at c_o."""
     img = model.image
-    mean_hat, eig_cov = image_fc_params(state, model)
+    mean_hat, eig_cov = image_fc_params(state, model, ws)
     c = sample_fourier_gaussian(FourierGaussian(mean_hat, eig_cov), rng)
     base = np.fft.ifft2(eig_cov).real                   # base of Sigma_{c|d}
     weights = spd_solve(base[img.pixel_offsets], c[img.pixel_index] - img.c_obs)
@@ -214,7 +227,7 @@ def gibbs_sweep(state: ModelState, model: SbdModel, streams, alpha=0.0,
     if use_hmc:
         from .hmc import hmc_update
 
-        result = hmc_update(state, model, hmc_cfg, streams)
+        result = hmc_update(state, model, hmc_cfg, streams, ws.data_hat(state))
         state.w_star = embed_blur(result.omega, model.lattice)
         state.omega = result.omega
         if counters is not None:
@@ -229,7 +242,7 @@ def gibbs_sweep(state: ModelState, model: SbdModel, streams, alpha=0.0,
         if counters is not None:
             counters["blur_gibbs"] = counters.get("blur_gibbs", 0) + 1
 
-    state.c = sample_image_fc(state, model, streams.image)
+    state.c = sample_image_fc(state, model, streams.image, ws)
     ws.invalidate()
     state.d = sample_aux_data_fc(state, model, streams.data)
     # the data sum of squares depends on none of the variances

@@ -6,6 +6,19 @@ likelihood N(W mu_c~, W Sigma_c~ W^T + Sigma_d); log-determinant and
 quadratic form are evaluated through the matrix-determinant lemma and a
 Woodbury rewrite so that only diagonal eigenvalue grids and m x m blocks
 ever appear.
+
+A trajectory moves only the blur; the data and the variances stay fixed.
+``MarginalPlan`` holds what they alone determine: the eigen grids
+sigma_c^2 theta and sigma_d^2 theta_d, the unitary DFT2 of d and the
+scaled pixel block of R_c.  ``hmc_update`` builds it once per trajectory,
+and ``potential`` and ``grad_potential`` do only the work the blur moves.
+The blur enters through its column eigenvalues, omega times the impulse
+eigenvalues of the support, and the transform of the mean image it blurs
+is the same product with a model constant, so no FFT of w* or of the prior
+mean is taken per evaluation.  The Schur block and its gradient read and
+write the lattice only on the constrained columns and on their cyclic
+differences, so each of their 2-D transforms is one column FFT over those
+columns times a small DFT matrix of the image prior.
 """
 
 from __future__ import annotations
@@ -14,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import (
     IndefiniteS,
@@ -21,7 +35,6 @@ from .errors import (
     NonFiniteTrajectory,
     StaleWorkspace,
 )
-from .fourier import convolve_columns, kernel_eigs
 from .model import ModelState, SbdModel
 
 DIVERGENCE_THRESHOLD = 1000.0
@@ -46,83 +59,140 @@ class HmcConfig:
 
 
 @dataclass
+class MarginalPlan:
+    """The part of the marginal potential that the blur does not move.
+
+    With P = sigma_c^2 theta and N = sigma_d^2 theta_d the eigen grid of the
+    marginal covariance is lam_a = P |lam_w0|^2 + N.  ``prior_eig2`` (P^2)
+    gives the Schur block and ``logy_eig`` (P^2 N) the gradient of log|Y|;
+    ``mc`` is sigma_c^2 R_c on the pixels and ``chol_mc`` its lower factor.
+    """
+
+    sigma_c2: float
+    prior_eig: np.ndarray
+    noise_eig: np.ndarray
+    dhat: np.ndarray
+    # m > 0 only:
+    prior_eig2: np.ndarray | None = None
+    logy_eig: np.ndarray | None = None
+    mc: np.ndarray | None = None
+    chol_mc: np.ndarray | None = None
+    logdet_mc: float = 0.0
+
+    @classmethod
+    def build(cls, state: ModelState, model: SbdModel, dhat=None):
+        """Plan for ``state``; ``dhat`` is the unitary DFT2 of ``state.d``
+        when the caller already has it."""
+        img = model.image
+        if img.m > 0 and not img.is_kron:
+            raise MaskNotKronecker(
+                "marginal blur update needs a rows x columns image constraint mask"
+            )
+        if dhat is None:
+            dhat = np.fft.fft2(state.d, norm="ortho")
+        sigma_c2 = state.sigma_c2
+        plan = cls(sigma_c2, sigma_c2 * img.theta,
+                   state.sigma_d2 * model.noise.theta, dhat)
+        if img.m > 0:
+            plan.prior_eig2 = plan.prior_eig**2
+            plan.logy_eig = plan.prior_eig2 * plan.noise_eig
+            plan.mc = sigma_c2 * img.base[img.pixel_offsets]
+            plan.chol_mc = np.sqrt(sigma_c2) * img.pixel_chol[0]
+            plan.logdet_mc = 2.0 * float(np.log(np.diag(plan.chol_mc)).sum())
+        return plan
+
+
+@dataclass
 class MarginalWorkspace:
     """Quantities cached by one potential evaluation and reused by its gradient."""
 
     omega: np.ndarray
+    plan: MarginalPlan
     lam_w0: np.ndarray           # action eigenvalues of the column convolution
     lam_a: np.ndarray            # eigen grid of W Sigma_c W^T + Sigma_d
-    dbar: np.ndarray
-    dbar_hat: np.ndarray         # unitary DFT2 of dbar
+    dbar_hat: np.ndarray         # unitary DFT2 of dbar = d - W mu_c~
+    r_inv_omega: np.ndarray      # R_omega^{-1} omega
     # m > 0 only:
-    chol_mc: np.ndarray | None = None
+    lam_b: np.ndarray | None = None
     chol_s: np.ndarray | None = None
     s_inv: np.ndarray | None = None
     q: np.ndarray | None = None
     s_inv_q: np.ndarray | None = None
 
+    @property
+    def dbar(self):
+        return np.fft.ifft2(self.dbar_hat, norm="ortho").real
 
-def potential(omega, state: ModelState, model: SbdModel):
+    @property
+    def chol_mc(self):
+        return self.plan.chol_mc
+
+
+def potential(omega, state: ModelState, model: SbdModel, plan: MarginalPlan = None):
     """U(omega) = -log p(omega | sw2) - log p(d | omega, variances).
 
     Returns the value together with the workspace the gradient consumes.
+    ``plan`` is ``MarginalPlan.build(state, model)``, built here when not
+    given.  Per call this takes the column eigenvalues lam_w0 = omega @
+    (impulse eigs), the grid lam_a and dbar_hat = dhat - lam_w0 * DFT2(mu_c~);
+    with a constraint mask also the Schur block S = M_c - A_c Z A_c^T, with
+    Z read at the pixel offsets through one column FFT over the offset
+    columns J, and q = A_c B^T dbar through one over the constrained columns.
     """
     omega = np.asarray(omega, dtype=float)
-    lat = model.lattice
+    if plan is None:
+        plan = MarginalPlan.build(state, model)
     img = model.image
-    if img.m > 0 and not img.is_kron:
-        raise MaskNotKronecker(
-            "marginal blur update needs a rows x columns image constraint mask"
-        )
-    k, n = omega.size, lat.n
-    sigma_c2, sigma_w2, sigma_d2 = state.sigma_c2, state.sigma_w2, state.sigma_d2
+    k, n = omega.size, model.lattice.n
 
-    w_star = np.zeros(lat.n_v)
-    w_star[lat.blur_support] = omega
-    lam_w0 = kernel_eigs(w_star)
+    lam_w0 = omega @ model.blur_impulse_eigs()
     abs_w2 = (lam_w0.real**2 + lam_w0.imag**2)[:, None]
-    lam_a = sigma_c2 * abs_w2 * img.theta + sigma_d2 * model.noise.theta
-
-    dbar = state.d - convolve_columns(w_star, img.mu_tilde)
-    dbar_hat = np.fft.fft2(dbar, norm="ortho")
+    lam_a = plan.prior_eig * abs_w2 + plan.noise_eig
+    # the column convolution commutes with the DFT along the rows
+    dbar_hat = plan.dhat - lam_w0[:, None] * img.mu_hat
     quad = float(np.sum((dbar_hat.real**2 + dbar_hat.imag**2) / lam_a))
     logdet = float(np.sum(np.log(lam_a)))
+    r_inv_omega = model.blur.solve(omega)
 
-    ws = MarginalWorkspace(omega.copy(), lam_w0, lam_a, dbar, dbar_hat)
+    ws = MarginalWorkspace(omega.copy(), plan, lam_w0, lam_a, dbar_hat, r_inv_omega)
 
     if img.m > 0:
-        mc = sigma_c2 * img.base[img.pixel_offsets]
-        chol_mc = np.sqrt(sigma_c2) * img.pixel_chol[0]
-
-        lam_z = (sigma_c2**2) * img.theta**2 * abs_w2 / lam_a
-        base_z = np.fft.ifft2(lam_z).real
-        zc = base_z[img.pixel_offsets]
-        s_block = mc - zc
+        # Z = ifft2(P^2 |lam_w0|^2 / lam_a) is real, so its inverse DFT2 is the
+        # real part of the forward one over n
+        lam_z = plan.prior_eig2 * abs_w2 / lam_a
+        z_cols = np.fft.fft(lam_z @ img.diff_dft.T, axis=0)
+        zc = z_cols.ravel()[img.offset_slots].real / n
+        s_block = plan.mc - zc
         s_block = 0.5 * (s_block + s_block.T)
-        try:
-            chol_s = scipy.linalg.cholesky(s_block, lower=True)
-        except scipy.linalg.LinAlgError as exc:
+        chol_s, info = lapack.dpotrf(s_block, lower=1, clean=1)
+        if info != 0:
             raise IndefiniteS("Schur block of the collapsed covariance "
-                              "not positive definite") from exc
+                              "not positive definite")
         # log|Y| with Y = I - L^T A_c Z A_c^T L collapses to log|S| - log|M_c|
-        logdet += 2.0 * (np.log(np.diag(chol_s)).sum()
-                         - np.log(np.diag(chol_mc)).sum())
+        logdet += 2.0 * np.log(np.diag(chol_s)).sum() - plan.logdet_mc
 
-        lam_b = sigma_c2 * img.theta * lam_w0[:, None] / lam_a
-        bt_dbar = np.fft.ifft2(np.conj(lam_b) * dbar_hat, norm="ortho").real
-        q = bt_dbar[img.pixel_index]
-        s_inv_q = scipy.linalg.cho_solve((chol_s, True), q)
+        # q = A_c Re idft2(conj(lam_b) dbar_hat) = A_c Re dft2(lam_b conj(dbar_hat))
+        lam_b = plan.prior_eig * lam_w0[:, None] / lam_a
+        bt_cols = np.fft.fft((lam_b * np.conj(dbar_hat)) @ img.col_dft.T, axis=0)
+        q = bt_cols[img.pixel_slots].real / np.sqrt(n)
+        s_inv_q = lapack.dpotrs(chol_s, q, lower=1)[0]
+        s_inv, info = lapack.dpotri(chol_s, lower=1)
+        if info != 0:
+            raise IndefiniteS("Schur block of the collapsed covariance is singular")
         quad += float(q @ s_inv_q)
 
-        ws.chol_mc = chol_mc
+        ws.lam_b = lam_b
         ws.chol_s = chol_s
-        ws.s_inv = scipy.linalg.cho_solve((chol_s, True), np.eye(img.m))
+        # dpotri fills the lower triangle; the upper one holds chol_s's zeros
+        full = s_inv + s_inv.T
+        np.fill_diagonal(full, np.diagonal(s_inv))
+        ws.s_inv = full
         ws.q = q
         ws.s_inv_q = s_inv_q
 
-    quad_prior = float(omega @ model.blur.solve(omega))
-    u_prior = 0.5 * (k * np.log(2 * np.pi) + k * np.log(sigma_w2)
-                     + model.blur.logdet_r_omega + quad_prior / sigma_w2)
+    quad_prior = float(omega @ r_inv_omega)
+    u_prior = 0.5 * (k * np.log(2 * np.pi) + k * np.log(state.sigma_w2)
+                     + model.blur.logdet_r_omega + quad_prior / state.sigma_w2)
     u_lik = 0.5 * (n * np.log(2 * np.pi) + logdet + quad)
     return u_prior + u_lik, ws
 
@@ -132,18 +202,21 @@ def grad_potential(omega, ws: MarginalWorkspace, state: ModelState, model: SbdMo
 
     Every term is a product of eigenvalue grids reduced over the columns and
     contracted with the k x n_v impulse eigenvalues of dW0/d omega, so the
-    cost does not grow with k beyond that one product.  With a constraint
-    mask, S^{-1} scattered onto the pixel-offset grid meets the derivative
-    of the Schur block through one FFT (Parseval), and the subtracted
-    Kronecker part of the quadratic form becomes a circular
-    cross-correlation down the columns, read at the support shifts.
+    cost does not grow with k beyond that one product.  The workspace
+    carries the potential's plan.  With a constraint mask, S^{-1} scattered
+    onto the offset columns J meets the derivative of the Schur block
+    through one column FFT (Parseval), S^{-1} q enters vhat through one over
+    the constrained columns, and the subtracted Kronecker part of the
+    quadratic form becomes a circular cross-correlation down the columns,
+    read at the support shifts.
     """
     omega = np.asarray(omega, dtype=float)
     if ws.omega.shape != omega.shape or not np.array_equal(ws.omega, omega):
         raise StaleWorkspace("workspace was built for a different blur value")
     lat = model.lattice
     img = model.image
-    sigma_c2 = state.sigma_c2
+    plan = ws.plan
+    n_v, n = lat.n_v, lat.n
 
     lam_dot = model.blur_impulse_eigs()          # (k, n_v)
     lam_w0 = ws.lam_w0
@@ -151,49 +224,42 @@ def grad_potential(omega, ws: MarginalWorkspace, state: ModelState, model: SbdMo
     # a_i[l] = d|lam_w0[l]|^2 / d omega_i
     a_all = 2.0 * (lam_dot * np.conj(lam_w0)[None, :]).real
 
-    grad = model.blur.solve(omega) / state.sigma_w2
+    grad = ws.r_inv_omega / state.sigma_w2
 
     # log|A| term: sum over the grid of lam_a_dot / lam_a
-    colagg = sigma_c2 * np.sum(img.theta / lam_a, axis=1)
-    grad_logdet = a_all @ colagg
+    grad_logdet = a_all @ np.sum(plan.prior_eig / lam_a, axis=1)
 
-    # v = Sigma_{d|omega}^{-1} dbar and its transform
+    # vhat: unitary DFT2 of v = Sigma_{d|omega}^{-1} dbar
     vhat = ws.dbar_hat / lam_a
     if img.m > 0:
-        lam_b = sigma_c2 * img.theta * lam_w0[:, None] / lam_a
-        embed = np.zeros((lat.n_v, lat.n_h))
-        embed[img.pixel_index] = ws.s_inv_q
-        vhat = vhat + lam_b * np.fft.fft2(embed, norm="ortho")
-    v = np.fft.ifft2(vhat, norm="ortho").real
+        embed = np.zeros((n_v, img.col_dft.shape[0]))
+        embed[img.pixel_slots] = ws.s_inv_q
+        vhat = vhat + ws.lam_b * ((np.fft.fft(embed, axis=0) @ img.col_dft)
+                                  / np.sqrt(n))
 
-    # quadratic-form term, BCCB part: -sigma_c2 * vhat^H (Lam_Rh (x) Lam_Di) vhat
-    theta_cv = img.r_cv.eigs.real
-    theta_ch = img.r_ch.eigs.real
-    rowagg = np.sum((vhat.real**2 + vhat.imag**2) * theta_ch[None, :], axis=1)
-    grad_quad = -sigma_c2 * (a_all @ (theta_cv * rowagg))
+    # quadratic-form term, BCCB part: -vhat^H (sigma_c2 Lam_Rh (x) Lam_Di) vhat
+    grad_quad = -(a_all @ np.sum((vhat.real**2 + vhat.imag**2) * plan.prior_eig,
+                                 axis=1))
 
     if img.m > 0:
-        # log|Y| via -tr(S^{-1} A_c dZ_i A_c^T), dZ_i = sigma_c2^2 ifft2(a_i g_grid)
-        abs_w2 = (lam_w0.real**2 + lam_w0.imag**2)[:, None]
-        g_grid = (img.theta**2 / lam_a
-                  - sigma_c2 * img.theta**3 * abs_w2 / lam_a**2)
-        s_grid = np.bincount(img.pixel_offsets_flat, weights=ws.s_inv.ravel(),
-                             minlength=lat.n).reshape(lam_a.shape)
-        s_hat = np.fft.fft2(s_grid).real
-        grad_logdet -= sigma_c2**2 / lat.n * (a_all @ np.sum(g_grid * s_hat, axis=1))
+        # log|Y| via -tr(S^{-1} A_c dZ_i A_c^T), with dZ_i the inverse DFT2 of
+        # a_i P^2 N / lam_a^2
+        s_grid = np.bincount(img.offset_slots.ravel(), weights=ws.s_inv.ravel(),
+                             minlength=n_v * img.diff_dft.shape[0])
+        s_hat = (np.fft.fft(s_grid.reshape(n_v, -1), axis=0) @ img.diff_dft).real
+        grad_logdet -= (a_all @ np.sum(plan.logy_eig / lam_a**2 * s_hat, axis=1)) / n
 
         # + sigma_c2 v^T (R*_h (x) D*_i) v with D*_i = dW0_i R*_v W0^T
         # + W0 R*_v dW0_i^T: both halves are cross-correlations down the columns
-        v_cols = np.fft.fft(v, axis=0)
+        v_cols = np.sqrt(n) * np.fft.ifft(vhat, axis=1)      # column DFTs of v
         gtv = img.r_star_v.T @ np.fft.ifft(np.conj(lam_w0)[:, None] * v_cols,
                                            axis=0).real
-        m_tilde = v @ img.r_star_h
-        k_mat = gtv @ img.r_star_h
-        cross = (np.conj(np.fft.fft(gtv, axis=0)) * np.fft.fft(m_tilde, axis=0)
-                 + np.conj(np.fft.fft(k_mat, axis=0)) * v_cols)
+        gtv_cols = np.fft.fft(gtv, axis=0)
+        cross = (np.conj(gtv_cols) * (v_cols @ img.r_star_h)
+                 + np.conj(gtv_cols @ img.r_star_h) * v_cols)
         t12 = np.fft.ifft(np.sum(cross, axis=1)).real
-        shifts = lat.blur_support - lat.n_v // 2
-        grad_quad += sigma_c2 * t12[shifts % lat.n_v]
+        shifts = lat.blur_support - n_v // 2
+        grad_quad += plan.sigma_c2 * t12[shifts % n_v]
 
         # mean dependence: dbar = d - B w*, contributing -2 B^T v
         btv = np.fft.ifft(np.sum(np.conj(img.mu_conv_eigs) * v_cols, axis=1)).real
@@ -225,11 +291,14 @@ class HmcResult:
     divergent: bool = False
 
 
-def hmc_update(state: ModelState, model: SbdModel, cfg: HmcConfig, streams) -> HmcResult:
+def hmc_update(state: ModelState, model: SbdModel, cfg: HmcConfig, streams,
+               dhat=None) -> HmcResult:
     """One Metropolis-adjusted trajectory; on reject the blur stays put.
 
     The momentum is preconditioned with the inverse prior covariance
-    M = (sigma_w^2 R_omega)^{-1}, refreshed at the current sigma_w^2.  The
+    M = (sigma_w^2 R_omega)^{-1}, refreshed at the current sigma_w^2.  One
+    ``MarginalPlan`` serves the whole trajectory; ``dhat``, the unitary DFT2
+    of ``state.d``, saves it a transform when the caller has one.  The
     potential is evaluated once per position, steps + 1 times in all: the
     start point's workspace serves the first half-kick.  A start point or
     trajectory the potential cannot evaluate returns a divergent result.
@@ -245,15 +314,16 @@ def hmc_update(state: ModelState, model: SbdModel, cfg: HmcConfig, streams) -> H
     def kinetic(p):
         return 0.5 * state.sigma_w2 * float(p @ (model.blur.r_omega @ p))
 
+    plan = MarginalPlan.build(state, model, dhat)
     last = {}
 
     def grad_u(w):
         if not np.array_equal(last["ws"].omega, w):
-            last["u"], last["ws"] = potential(w, state, model)
+            last["u"], last["ws"] = potential(w, state, model, plan)
         return grad_potential(w, last["ws"], state, model)
 
     try:
-        last["u"], last["ws"] = potential(omega0, state, model)
+        last["u"], last["ws"] = potential(omega0, state, model, plan)
         h0 = last["u"] + kinetic(p0)
         omega1, p1 = leapfrog(omega0, p0, cfg.step_size, cfg.steps, grad_u, m_inv)
         # the last gradient was taken at omega1

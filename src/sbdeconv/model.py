@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 import scipy.special
+from scipy.linalg import lapack
 
 from .errors import (
     DimensionMismatch,
@@ -239,7 +240,9 @@ class BlurPrior:
         return self.r_omega.shape[0]
 
     def solve(self, rhs):
-        return scipy.linalg.cho_solve((self.chol_r_omega, True), rhs)
+        # LAPACK directly: the same solve as cho_solve, without its checks,
+        # which cost more than the k x k solve itself
+        return lapack.dpotrs(self.chol_r_omega, rhs, lower=1)[0]
 
     def sample_omega(self, sigma_w2, rng, size=None):
         shape = (self.k,) if size is None else (int(size), self.k)
@@ -284,9 +287,15 @@ class ImagePrior:
     (rows, cols) of the constrained pixels and ``pixel_offsets`` their m x m
     cyclic row and column offsets, so ``base[pixel_offsets]`` is the pixel
     block of R_c and ``pixel_chol`` its lower Cholesky factor, as a
-    ``cho_factor`` pair with a zero upper triangle.  ``pixel_offsets_flat``
-    holds the offsets as flat indices into the n_v x n_h lattice, raveled,
-    so ``np.bincount`` scatters an m x m block onto the offset grid.  When
+    ``cho_factor`` pair with a zero upper triangle.  ``mu_hat`` is the
+    unitary DFT2 of the prior mean ``mu_tilde``.
+
+    The pixels touch only the constrained columns C and their cyclic
+    differences J, so a transform of a grid held on them needs one column
+    FFT and a small DFT along the rows: ``col_dft`` (|C| x n_h) and
+    ``diff_dft`` (|J| x n_h) hold exp(-2 pi i c l / n_h) for c in C and J.
+    ``pixel_slots`` indexes the pixels in an n_v x |C| grid and
+    ``offset_slots`` their m x m offsets, flat, in an n_v x |J| grid.  When
     the constrained pixels form a rows x cols product, the subtracted
     covariance term factors as a Kronecker product of one smoother per
     direction (``r_star_v/h``), which the marginal blur update requires.
@@ -298,11 +307,15 @@ class ImagePrior:
     base: np.ndarray
     c_obs: np.ndarray
     mu_tilde: np.ndarray
+    mu_hat: np.ndarray
     mu_conv_eigs: np.ndarray
     pixel_index: tuple
     pixel_offsets: tuple
     pixel_chol: tuple
-    pixel_offsets_flat: np.ndarray
+    col_dft: np.ndarray
+    diff_dft: np.ndarray
+    pixel_slots: tuple
+    offset_slots: np.ndarray
     kron_rows: np.ndarray | None = None
     kron_cols: np.ndarray | None = None
     r_star_v: np.ndarray | None = None
@@ -352,15 +365,24 @@ def build_image_prior(lattice: LatticeSpec, hp: HyperParams, c_obs,
     # the constrained prior mean is a zero field Kriged onto c_o
     mu = krige(np.zeros(theta.shape), theta, index,
                scipy.linalg.cho_solve(pixel_chol, -c_obs), c_obs)
+    # constrained columns C and their cyclic differences J, with the row
+    # DFTs restricted to them
+    con_cols, col_slot = np.unique(px[:, 1], return_inverse=True)
+    diffs, diff_slot = np.unique(offsets[1], return_inverse=True)
+    freqs = 2j * np.pi * np.arange(lattice.n_h) / lattice.n_h
+    offset_slots = offsets[0] * diffs.size + diff_slot.reshape(offsets[1].shape)
     r_star_v = r_star_h = None
     rows = cols = None
     if len(px) and kron is not None:
         rows, cols = kron
         r_star_v = _one_direction_star(r_cv, rows)
         r_star_h = _one_direction_star(r_ch, cols)
-    return ImagePrior(r_cv, r_ch, theta, base, c_obs, mu, kernel_eigs(mu),
+    return ImagePrior(r_cv, r_ch, theta, base, c_obs, mu,
+                      np.fft.fft2(mu, norm="ortho"), kernel_eigs(mu),
                       index, offsets, pixel_chol,
-                      np.ravel_multi_index(offsets, theta.shape).ravel(),
+                      np.exp(-np.outer(con_cols, freqs)),
+                      np.exp(-np.outer(diffs, freqs)),
+                      (px[:, 0], col_slot.ravel()), offset_slots,
                       rows, cols, r_star_v, r_star_h)
 
 

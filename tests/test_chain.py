@@ -2,14 +2,16 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import sbdeconv.chain
 from sbdeconv.chain import (
     SamplerConfig,
     init_state_from_prior,
     run_chain,
     sample_constrained_image,
 )
-from sbdeconv.errors import DimensionMismatch
+from sbdeconv.errors import DimensionMismatch, MaskNotKronecker
 from sbdeconv.experiments import SimRecipe, simulate_dataset
 from sbdeconv.gauss import RngStreams
 from sbdeconv.model import CorrelationSpec, HyperParams, LatticeSpec, SbdModel
@@ -22,6 +24,18 @@ def small_model(seed=0):
                              image_cols=(1,))
     gen = np.random.default_rng(seed)
     return SbdModel.build(lat, DESK_HP, gen.standard_normal(lat.m) * 0.05)
+
+
+def desk_problem():
+    """The 8x3 / m=2 / k=6 desk problem on a simulated dataset."""
+    recipe = SimRecipe(n_v_obs=6, n_h_obs=2, blur_len=6, embed_factor=4,
+                       seed=101, hp=DESK_HP)
+    data = simulate_dataset(recipe)
+    rows = [2, 3]
+    lat = LatticeSpec.create(6, 2, 6, m_v=2, m_h=1, image_rows=rows,
+                             image_cols=[data["obs_col"]])
+    model = SbdModel.build(lat, DESK_HP, data["c_true"][rows, data["obs_col"]])
+    return model, data["d_obs"]
 
 
 class TestInit:
@@ -95,15 +109,7 @@ class TestRunChain:
         assert len(set(out.hmc_eps[:30])) > 1
 
     def test_divergences_counted(self):
-        # the 8x3 / m=2 / k=6 desk problem on a simulated dataset
-        recipe = SimRecipe(n_v_obs=6, n_h_obs=2, blur_len=6, embed_factor=4,
-                           seed=101, hp=DESK_HP)
-        data = simulate_dataset(recipe)
-        rows = [2, 3]
-        lat = LatticeSpec.create(6, 2, 6, m_v=2, m_h=1, image_rows=rows,
-                                 image_cols=[data["obs_col"]])
-        model = SbdModel.build(lat, DESK_HP, data["c_true"][rows, data["obs_col"]])
-        d_obs = data["d_obs"]
+        model, d_obs = desk_problem()
 
         wild = SamplerConfig(alpha=1.0, iterations=20, seed=6, hmc_steps=5,
                              hmc_step_size=50.0, hmc_adapt=False)
@@ -121,6 +127,52 @@ class TestRunChain:
         assert out.counters["blur_hmc"] == 200
         assert out.counters["hmc_divergent"] == 0
         assert out.manifest["counters"]["hmc_divergent"] == 0
+
+    def test_scattered_mask_with_hmc_fails_before_sampling(self, monkeypatch):
+        lat = LatticeSpec.create(6, 2, 4, m_v=2, m_h=1,
+                                 image_pixels=[(0, 0), (3, 1)])
+        model = SbdModel.build(lat, DESK_HP, np.array([0.1, -0.1]))
+        d_obs = np.random.default_rng(1).standard_normal((lat.n_v_obs,
+                                                          lat.n_h_obs))
+        # the Gibbs lane needs no Kronecker mask
+        out = run_chain(model, d_obs, SamplerConfig(alpha=0.0, iterations=3, seed=2))
+        assert out.counters["blur_gibbs"] == 3
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("a sweep ran")
+
+        monkeypatch.setattr(sbdeconv.chain, "gibbs_sweep", no_sweep)
+        for alpha in (0.5, 1.0):
+            with pytest.raises(MaskNotKronecker):
+                run_chain(model, d_obs, SamplerConfig(alpha=alpha, iterations=3,
+                                                      seed=2))
+
+    def test_nugget_retries_counted(self, monkeypatch):
+        model, d_obs = desk_problem()
+        out = run_chain(model, d_obs, SamplerConfig(
+            alpha=0.5, iterations=50, seed=2, hmc_steps=5, hmc_step_size=0.01,
+            hmc_adapt=False))
+        assert out.counters["blur_gibbs"] > 0 and out.counters["blur_hmc"] > 0
+        assert out.counters["nugget_retries"] == 0
+        assert out.manifest["counters"]["nugget_retries"] == 0
+
+        # the first factorization of the run fails once, as a near-singular
+        # Gram would
+        cho_factor = scipy.linalg.cho_factor
+        calls = []
+
+        def failing_once(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 1:
+                raise scipy.linalg.LinAlgError("forced")
+            return cho_factor(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", failing_once)
+        out = run_chain(model, d_obs, SamplerConfig(alpha=0.0, iterations=5,
+                                                    seed=2))
+        assert len(calls) > 2
+        assert out.counters["nugget_retries"] == 1
+        assert out.manifest["counters"]["nugget_retries"] == 1
 
     def test_invalid_lengths_rejected(self):
         with pytest.raises(DimensionMismatch):

@@ -89,6 +89,20 @@ class TestPipeline:
             blobs.append((tmp_path / run / "trace_omega.csv").read_bytes())
         assert blobs[0] != blobs[1]
 
+    def test_hmc_on_scattered_mask_exits_4_before_writing(self, tmp_path, capsys):
+        cfg_path, cfg = smoke_config(tmp_path, "run")
+        data = tmp_path / "data.csv"
+        sio.write_matrix_csv(data, np.random.default_rng(0).standard_normal((12, 3)))
+        image_obs = tmp_path / "image_obs.csv"
+        sio.write_pixel_obs_csv(image_obs, [0, 3], [0, 1], [0.1, -0.1])
+        cfg["io"].update(data=str(data), image_obs=str(image_obs))
+        cfg["sampler"]["alpha"] = 1.0
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["--config", str(cfg_path), "sample"]) == 4
+        assert "model error" in capsys.readouterr().err
+        run_dir = tmp_path / "run"
+        assert not run_dir.exists() or not any(run_dir.iterdir())
+
     def test_experiment_smoke(self, tmp_path):
         cfg = {
             "experiment": {"m_values": [0, 2], "iterations": 150,

@@ -170,6 +170,37 @@ def kron_lattices(draw):
                               image_cols=cols)
 
 
+def random_state(model, gen):
+    lat = model.lattice
+    omega = gen.standard_normal(lat.blur_len) * 0.8
+    return ModelState(
+        omega=omega, w_star=embed_blur(omega, lat),
+        c=gen.standard_normal((lat.n_v, lat.n_h)) * 0.05,
+        d=gen.standard_normal((lat.n_v, lat.n_h)) * 0.1,
+        sigma_c2=float(np.exp(gen.uniform(-7, -4))),
+        sigma_w2=float(np.exp(gen.uniform(0, 2))),
+        zeta=float(np.exp(gen.uniform(-3, -1))), psi=model.hp.psi,
+    )
+
+
+class TestPotentialProperty:
+    # columns 0 and 3 of 4 differ by 1 and by 3 cyclically, so the Schur block
+    # reads the offset grid at three columns and the mask at two
+    @settings(max_examples=100, deadline=None)
+    @given(lat=kron_lattices(), seed=st.integers(0, 2**32 - 1))
+    @example(lat=LatticeSpec.create(8, 4, 5, m_v=0, m_h=0, image_rows=(1, 6),
+                                    image_cols=(0, 3)), seed=2)
+    def test_matches_dense_oracle(self, lat, seed):
+        gen = np.random.default_rng(seed)
+        model = SbdModel.build(lat, DESK_HP, gen.standard_normal(lat.m) * 0.05,
+                               require_kron=True)
+        state = random_state(model, gen)
+        u, _ = potential(state.omega, state, model)
+        u_dense = dense_marginal_potential(state.omega, state, model)
+        # relative to |U|, floored at 1 where the terms of U cancel to near 0
+        assert abs(u - u_dense) <= 1e-10 * max(abs(u_dense), 1.0)
+
+
 class TestGradientProperty:
     # k = n_v - 1 puts support shifts at both ends of the column, where the
     # cross-correlation index shifts % n_v wraps around
@@ -183,15 +214,8 @@ class TestGradientProperty:
         gen = np.random.default_rng(seed)
         model = SbdModel.build(lat, DESK_HP, gen.standard_normal(lat.m) * 0.05,
                                require_kron=True)
-        omega = gen.standard_normal(lat.blur_len) * 0.8
-        state = ModelState(
-            omega=omega, w_star=embed_blur(omega, lat),
-            c=gen.standard_normal((lat.n_v, lat.n_h)) * 0.05,
-            d=gen.standard_normal((lat.n_v, lat.n_h)) * 0.1,
-            sigma_c2=float(np.exp(gen.uniform(-7, -4))),
-            sigma_w2=float(np.exp(gen.uniform(0, 2))),
-            zeta=float(np.exp(gen.uniform(-3, -1))), psi=model.hp.psi,
-        )
+        state = random_state(model, gen)
+        omega = state.omega
         _, ws = potential(omega, state, model)
         g = grad_potential(omega, ws, state, model)
         g_fd = fd_gradient(lambda w: dense_marginal_potential(w, state, model),
