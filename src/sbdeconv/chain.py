@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionMismatch, MaskNotKronecker, NuggetRetry
+from .errors import DimensionMismatch, NuggetRetry
 from .fourier import convolve_columns
 from .gauss import FourierGaussian, RngStreams, krige, sample_fourier_gaussian
 from .gibbs import GibbsWorkspace, gibbs_sweep
@@ -38,6 +38,9 @@ class SamplerConfig:
             raise DimensionMismatch("alpha must lie in [0, 1]")
         if self.iterations < 1 or self.burn_in < 0 or self.thin < 1:
             raise DimensionMismatch("invalid chain lengths")
+        if self.alpha > 0.0:     # fail before any work, not in run_chain
+            HmcConfig(self.hmc_steps, self.hmc_step_size,
+                      target_accept=self.hmc_target_accept)
 
 
 @dataclass
@@ -127,15 +130,10 @@ def run_chain(model: SbdModel, d_obs, cfg: SamplerConfig,
               state: ModelState = None) -> ChainOutput:
     """Run one chain and collect retained post-burn-in traces.
 
-    A chain with HMC blur moves (``alpha > 0``) on a constraint mask that is
-    not a rows x columns product raises ``MaskNotKronecker`` before anything
-    is drawn.  Nugget retries of the Cholesky factorizations in the sweeps
-    are counted in ``counters["nugget_retries"]``.
+    HMC blur moves (``alpha > 0``) work on any constraint mask.  Nugget
+    retries of the Cholesky factorizations in the sweeps are counted in
+    ``counters["nugget_retries"]``.
     """
-    if cfg.alpha > 0.0 and not model.image.is_kron:
-        raise MaskNotKronecker(
-            "HMC blur moves (alpha > 0) need a rows x columns image constraint mask"
-        )
     lat = model.lattice
     streams = RngStreams(cfg.seed)
     if state is None:

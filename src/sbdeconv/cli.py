@@ -18,7 +18,7 @@ import numpy as np
 from . import io as sio
 from .chain import SamplerConfig, run_chain
 from .diagnostics import ess, msjd, rmse
-from .errors import ConfigError, IoError, ModelError, SbdError
+from .errors import ConfigError, DimensionMismatch, IoError, ModelError, SbdError
 from .experiments import SimRecipe, constraint_sweep, padding_sweep, simulate_dataset
 from .model import CorrelationSpec, HyperParams, LatticeSpec, SbdModel
 
@@ -63,7 +63,7 @@ def _sampler_from_config(cfg, seed_override=None):
         sampler["seed"] = seed_override
     try:
         return SamplerConfig(**sampler)
-    except TypeError as exc:
+    except (TypeError, ValueError, DimensionMismatch) as exc:
         raise ConfigError(f"bad sampler block: {exc}") from exc
 
 
@@ -129,6 +129,7 @@ def _build_model_from_config(cfg, d_obs, pixel_obs):
 
 
 def cmd_sample(cfg, args):
+    sampler = _sampler_from_config(cfg, args.seed)
     io_cfg = cfg.get("io", {})
     data_path = io_cfg.get("data")
     if not data_path:
@@ -138,7 +139,6 @@ def cmd_sample(cfg, args):
     pixel_obs = sio.read_pixel_obs_csv(obs_path) if obs_path else \
         (np.empty(0, int), np.empty(0, int), np.empty(0))
     model = _build_model_from_config(cfg, d_obs, pixel_obs)
-    sampler = _sampler_from_config(cfg, args.seed)
 
     t0 = time.perf_counter()
     out_chain = run_chain(model, d_obs, sampler)

@@ -29,12 +29,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import lapack
 
-from .errors import (
-    IndefiniteS,
-    MaskNotKronecker,
-    NonFiniteTrajectory,
-    StaleWorkspace,
-)
+from .errors import IndefiniteS, NonFiniteTrajectory, StaleWorkspace
 from .model import ModelState, SbdModel
 
 DIVERGENCE_THRESHOLD = 1000.0
@@ -84,10 +79,6 @@ class MarginalPlan:
         """Plan for ``state``; ``dhat`` is the unitary DFT2 of ``state.d``
         when the caller already has it."""
         img = model.image
-        if img.m > 0 and not img.is_kron:
-            raise MaskNotKronecker(
-                "marginal blur update needs a rows x columns image constraint mask"
-            )
         if dhat is None:
             dhat = np.fft.fft2(state.d, norm="ortho")
         sigma_c2 = state.sigma_c2
@@ -206,9 +197,9 @@ def grad_potential(omega, ws: MarginalWorkspace, state: ModelState, model: SbdMo
     carries the potential's plan.  With a constraint mask, S^{-1} scattered
     onto the offset columns J meets the derivative of the Schur block
     through one column FFT (Parseval), S^{-1} q enters vhat through one over
-    the constrained columns, and the subtracted Kronecker part of the
-    quadratic form becomes a circular cross-correlation down the columns,
-    read at the support shifts.
+    the constrained columns, and the subtracted part R* of the prior
+    covariance enters the quadratic form as an m x k gather of R_c v on the
+    constrained columns at the pixels shifted by the support offsets.
     """
     omega = np.asarray(omega, dtype=float)
     if ws.omega.shape != omega.shape or not np.array_equal(ws.omega, omega):
@@ -249,18 +240,21 @@ def grad_potential(omega, ws: MarginalWorkspace, state: ModelState, model: SbdMo
         s_hat = (np.fft.fft(s_grid.reshape(n_v, -1), axis=0) @ img.diff_dft).real
         grad_logdet -= (a_all @ np.sum(plan.logy_eig / lam_a**2 * s_hat, axis=1)) / n
 
-        # + sigma_c2 v^T (R*_h (x) D*_i) v with D*_i = dW0_i R*_v W0^T
-        # + W0 R*_v dW0_i^T: both halves are cross-correlations down the columns
-        v_cols = np.sqrt(n) * np.fft.ifft(vhat, axis=1)      # column DFTs of v
-        gtv = img.r_star_v.T @ np.fft.ifft(np.conj(lam_w0)[:, None] * v_cols,
-                                           axis=0).real
-        gtv_cols = np.fft.fft(gtv, axis=0)
-        cross = (np.conj(gtv_cols) * (v_cols @ img.r_star_h)
-                 + np.conj(gtv_cols @ img.r_star_h) * v_cols)
-        t12 = np.fft.ifft(np.sum(cross, axis=1)).real
+        # + 2 sigma_c2 v^T dW0_i R* W0^T v with R* = R_c A^T M^{-1} A R_c and M
+        # the pixel block of R_c: with z = R_c v and u = M^{-1} A R_c W0^T v
+        # it is 2 sigma_c2 sum_p u_p z[r_p + s_i, c_p], an m x k gather, as
+        # dW0_i^T shifts by s_i and commutes with R_c
+        z_hat = img.theta * vhat
+        z_cols, y_cols = np.fft.ifft(
+            np.stack([z_hat, np.conj(lam_w0)[:, None] * z_hat]) @ img.col_dft.conj().T,
+            axis=1).real * (n_v / np.sqrt(n))
+        u = lapack.dpotrs(img.pixel_chol[0], y_cols[img.pixel_slots], lower=1)[0]
+        rows, slots = img.pixel_slots
         shifts = lat.blur_support - n_v // 2
-        grad_quad += plan.sigma_c2 * t12[shifts % n_v]
+        grad_quad += 2.0 * plan.sigma_c2 * (
+            u @ z_cols[(rows[:, None] + shifts) % n_v, slots[:, None]])
 
+        v_cols = np.sqrt(n) * np.fft.ifft(vhat, axis=1)      # column DFTs of v
         # mean dependence: dbar = d - B w*, contributing -2 B^T v
         btv = np.fft.ifft(np.sum(np.conj(img.mu_conv_eigs) * v_cols, axis=1)).real
         grad_quad -= 2.0 * btv[lat.blur_support]

@@ -295,10 +295,8 @@ class ImagePrior:
     FFT and a small DFT along the rows: ``col_dft`` (|C| x n_h) and
     ``diff_dft`` (|J| x n_h) hold exp(-2 pi i c l / n_h) for c in C and J.
     ``pixel_slots`` indexes the pixels in an n_v x |C| grid and
-    ``offset_slots`` their m x m offsets, flat, in an n_v x |J| grid.  When
-    the constrained pixels form a rows x cols product, the subtracted
-    covariance term factors as a Kronecker product of one smoother per
-    direction (``r_star_v/h``), which the marginal blur update requires.
+    ``offset_slots`` their m x m offsets, flat, in an n_v x |J| grid.  The
+    pixels may lie anywhere.
     """
 
     r_cv: CirculantMatrix
@@ -316,26 +314,10 @@ class ImagePrior:
     diff_dft: np.ndarray
     pixel_slots: tuple
     offset_slots: np.ndarray
-    kron_rows: np.ndarray | None = None
-    kron_cols: np.ndarray | None = None
-    r_star_v: np.ndarray | None = None
-    r_star_h: np.ndarray | None = None
 
     @property
     def m(self):
         return self.c_obs.size
-
-    @property
-    def is_kron(self):
-        return self.kron_rows is not None or self.m == 0
-
-
-def _one_direction_star(corr: CirculantMatrix, idx):
-    """(R A^T)(A R A^T)^{-1}(A R) for a coordinate selection A."""
-    dense = corr.dense().real
-    cols = dense[:, idx]
-    gram = dense[np.ix_(idx, idx)]
-    return cols @ spd_solve(gram, cols.T)
 
 
 def build_image_prior(lattice: LatticeSpec, hp: HyperParams, c_obs,
@@ -350,11 +332,9 @@ def build_image_prior(lattice: LatticeSpec, hp: HyperParams, c_obs,
     if c_obs.size != len(px):
         raise DimensionMismatch("c_o length does not match the constraint mask")
 
-    kron = lattice.image_kron_factors()
-    if require_kron and kron is None:
+    if require_kron and lattice.image_kron_factors() is None:
         raise MaskNotKronecker(
-            "marginal blur update needs the same constrained rows in every "
-            "constrained column"
+            "the constrained pixels are not a rows x columns product"
         )
 
     index = (px[:, 0], px[:, 1])
@@ -371,19 +351,12 @@ def build_image_prior(lattice: LatticeSpec, hp: HyperParams, c_obs,
     diffs, diff_slot = np.unique(offsets[1], return_inverse=True)
     freqs = 2j * np.pi * np.arange(lattice.n_h) / lattice.n_h
     offset_slots = offsets[0] * diffs.size + diff_slot.reshape(offsets[1].shape)
-    r_star_v = r_star_h = None
-    rows = cols = None
-    if len(px) and kron is not None:
-        rows, cols = kron
-        r_star_v = _one_direction_star(r_cv, rows)
-        r_star_h = _one_direction_star(r_ch, cols)
     return ImagePrior(r_cv, r_ch, theta, base, c_obs, mu,
                       np.fft.fft2(mu, norm="ortho"), kernel_eigs(mu),
                       index, offsets, pixel_chol,
                       np.exp(-np.outer(con_cols, freqs)),
                       np.exp(-np.outer(diffs, freqs)),
-                      (px[:, 0], col_slot.ravel()), offset_slots,
-                      rows, cols, r_star_v, r_star_h)
+                      (px[:, 0], col_slot.ravel()), offset_slots)
 
 
 @dataclass(frozen=True)

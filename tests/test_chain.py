@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-import sbdeconv.chain
 from sbdeconv.chain import (
     SamplerConfig,
     init_state_from_prior,
     run_chain,
     sample_constrained_image,
 )
-from sbdeconv.errors import DimensionMismatch, MaskNotKronecker
+from sbdeconv.diagnostics import sign_changes
+from sbdeconv.errors import DimensionMismatch
 from sbdeconv.experiments import SimRecipe, simulate_dataset
 from sbdeconv.gauss import RngStreams
 from sbdeconv.model import CorrelationSpec, HyperParams, LatticeSpec, SbdModel
@@ -128,24 +128,23 @@ class TestRunChain:
         assert out.counters["hmc_divergent"] == 0
         assert out.manifest["counters"]["hmc_divergent"] == 0
 
-    def test_scattered_mask_with_hmc_fails_before_sampling(self, monkeypatch):
+    def test_scattered_mask_with_hmc(self):
         lat = LatticeSpec.create(6, 2, 4, m_v=2, m_h=1,
                                  image_pixels=[(0, 0), (3, 1)])
         model = SbdModel.build(lat, DESK_HP, np.array([0.1, -0.1]))
         d_obs = np.random.default_rng(1).standard_normal((lat.n_v_obs,
                                                           lat.n_h_obs))
-        # the Gibbs lane needs no Kronecker mask
         out = run_chain(model, d_obs, SamplerConfig(alpha=0.0, iterations=3, seed=2))
         assert out.counters["blur_gibbs"] == 3
-
-        def no_sweep(*args, **kwargs):
-            raise AssertionError("a sweep ran")
-
-        monkeypatch.setattr(sbdeconv.chain, "gibbs_sweep", no_sweep)
+        px = lat.image_pixels
         for alpha in (0.5, 1.0):
-            with pytest.raises(MaskNotKronecker):
-                run_chain(model, d_obs, SamplerConfig(alpha=alpha, iterations=3,
-                                                      seed=2))
+            state = init_state_from_prior(model, d_obs, RngStreams(2))
+            out = run_chain(model, d_obs, SamplerConfig(alpha=alpha, iterations=20,
+                                                        seed=2, hmc_steps=5),
+                            state=state)
+            assert out.counters["blur_hmc"] > 0
+            np.testing.assert_array_equal(state.c[px[:, 0], px[:, 1]],
+                                          model.image.c_obs)
 
     def test_nugget_retries_counted(self, monkeypatch):
         model, d_obs = desk_problem()
@@ -179,3 +178,36 @@ class TestRunChain:
             SamplerConfig(iterations=0)
         with pytest.raises(DimensionMismatch):
             SamplerConfig(alpha=1.5)
+
+
+class TestScatteredMaskLanes:
+    def test_hmc_lane_agrees_with_gibbs_lane(self):
+        # two simulated columns, 16 pixels observed exactly with no common
+        # rows x columns structure: the blur stays in one sign mode, so both
+        # lanes must give the same blur means.  Both start from one state
+        # warmed by Gibbs sweeps; the HMC lane mixes several times faster per
+        # sweep, so it runs a fifth as long.
+        recipe = SimRecipe(n_v_obs=24, n_h_obs=2, blur_len=10, embed_factor=1,
+                           seed=6)
+        data = simulate_dataset(recipe)
+        pixels = [(1, 0), (2, 0), (4, 0), (10, 0), (17, 0), (18, 0), (21, 0),
+                  (0, 1), (1, 1), (2, 1), (4, 1), (12, 1), (16, 1), (18, 1),
+                  (19, 1), (23, 1)]
+        lat = LatticeSpec.create(24, 2, 10, m_v=0, m_h=0, image_pixels=pixels)
+        assert lat.image_kron_factors() is None
+        px = lat.image_pixels
+        model = SbdModel.build(lat, recipe.hp, data["c_true"][px[:, 0], px[:, 1]])
+        d_obs = data["d_obs"]
+
+        warm = init_state_from_prior(model, d_obs, RngStreams(10))
+        run_chain(model, d_obs, SamplerConfig(alpha=0.0, iterations=1000, seed=10),
+                  state=warm)
+        gibbs = run_chain(model, d_obs, SamplerConfig(
+            alpha=0.0, iterations=10_000, seed=11), state=warm.copy()).omega
+        hmc = run_chain(model, d_obs, SamplerConfig(
+            alpha=1.0, iterations=2000, burn_in=400, seed=12, hmc_steps=5,
+            hmc_step_size=0.01), state=warm.copy()).omega
+
+        assert sign_changes(gibbs[:, 5]) == 0 and sign_changes(hmc[:, 5]) == 0
+        shift = np.abs(hmc.mean(axis=0) - gibbs.mean(axis=0)) / gibbs.std(axis=0)
+        assert shift.max() < 0.4

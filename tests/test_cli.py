@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+import sbdeconv.cli
 from sbdeconv import io as sio
 from sbdeconv.cli import main
 from sbdeconv.errors import ConfigError, IoError
@@ -89,7 +90,7 @@ class TestPipeline:
             blobs.append((tmp_path / run / "trace_omega.csv").read_bytes())
         assert blobs[0] != blobs[1]
 
-    def test_hmc_on_scattered_mask_exits_4_before_writing(self, tmp_path, capsys):
+    def test_hmc_on_scattered_mask_writes_traces(self, tmp_path):
         cfg_path, cfg = smoke_config(tmp_path, "run")
         data = tmp_path / "data.csv"
         sio.write_matrix_csv(data, np.random.default_rng(0).standard_normal((12, 3)))
@@ -98,10 +99,10 @@ class TestPipeline:
         cfg["io"].update(data=str(data), image_obs=str(image_obs))
         cfg["sampler"]["alpha"] = 1.0
         cfg_path.write_text(json.dumps(cfg))
-        assert main(["--config", str(cfg_path), "sample"]) == 4
-        assert "model error" in capsys.readouterr().err
-        run_dir = tmp_path / "run"
-        assert not run_dir.exists() or not any(run_dir.iterdir())
+        assert main(["--config", str(cfg_path), "sample"]) == 0
+        names, hmc = sio.read_trace_csv(tmp_path / "run" / "trace_hmc.csv")
+        assert names == ["delta_h", "accept", "eps"]
+        assert hmc.shape[0] == cfg["sampler"]["iterations"]
 
     def test_experiment_smoke(self, tmp_path):
         cfg = {
@@ -136,6 +137,25 @@ class TestConfigValidation:
         p = tmp_path / "bad.json"
         p.write_text("{not json")
         assert main(["--config", str(p), "simulate"]) == 2
+
+    @pytest.mark.parametrize("bad", [{"alpha": 1.0, "hmc_steps": 0},
+                                     {"alpha": 1.0, "hmc_step_size": -1.0},
+                                     {"alpha": 2.0}])
+    def test_bad_sampler_block_exit_2_before_model(self, tmp_path, capsys,
+                                                   monkeypatch, bad):
+        cfg_path, cfg = smoke_config(tmp_path, "run")
+        data = tmp_path / "data.csv"
+        sio.write_matrix_csv(data, np.random.default_rng(0).standard_normal((12, 3)))
+        cfg["io"]["data"] = str(data)
+        cfg["sampler"].update(bad)
+        cfg_path.write_text(json.dumps(cfg))
+
+        def no_model(*args):
+            raise AssertionError("the model was built")
+
+        monkeypatch.setattr(sbdeconv.cli, "_build_model_from_config", no_model)
+        assert main(["--config", str(cfg_path), "sample"]) == 2
+        assert "bad sampler block" in capsys.readouterr().err
 
     def test_missing_data_file_exit_3(self, tmp_path):
         cfg = {

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import sbdeconv.hmc
-from sbdeconv.errors import IndefiniteS, MaskNotKronecker, StaleWorkspace
+from sbdeconv.errors import IndefiniteS, StaleWorkspace
 from sbdeconv.gauss import RngStreams
 from sbdeconv.hmc import (
     DualAveraging,
@@ -95,13 +95,14 @@ class TestPotential:
         dm = DenseModel(model, state)
         assert abs(struct - dense_logdet(dm.sigma_d_omega())) < 1e-8
 
-    def test_non_kron_mask_rejected(self):
+    def test_scattered_mask_matches_dense_oracle(self):
         lat = LatticeSpec.create(6, 2, 4, m_v=2, m_h=1,
                                  image_pixels=[(0, 0), (3, 1)])
         model = SbdModel.build(lat, DESK_HP, np.array([0.1, -0.1]))
         state = desk_state(model)
-        with pytest.raises(MaskNotKronecker):
-            potential(state.omega, state, model)
+        u, _ = potential(state.omega, state, model)
+        u_dense = dense_marginal_potential(state.omega, state, model)
+        assert abs(u - u_dense) / abs(u_dense) < 1e-8
 
 
 class TestGradient:
@@ -151,14 +152,22 @@ class TestGradient:
 
 
 @st.composite
-def kron_lattices(draw):
+def masked_lattices(draw):
     """Even n_v from 4 to 12, n_h from 1 to 4, k from 1 to n_v - 1, and an
-    empty, one-column or several-rows x several-columns constraint mask."""
+    empty, one-column, several-rows x several-columns or scattered
+    constraint mask."""
     n_v = 2 * draw(st.integers(2, 6))
     n_h = draw(st.integers(1, 4))
     k = draw(st.integers(1, n_v - 1))
-    masks = ("empty", "column", "kron") if n_h > 1 else ("empty", "column")
+    # one column admits no mask that is not rows x columns
+    masks = ("empty", "column") + (("kron", "scattered") if n_h > 1 else ())
     mask = draw(st.sampled_from(masks))
+    if mask == "scattered":
+        flat = draw(st.lists(st.integers(0, n_v * n_h - 1), min_size=2, unique=True))
+        lat = LatticeSpec.create(n_v, n_h, k, m_v=0, m_h=0,
+                                 image_pixels=[(f % n_v, f // n_v) for f in flat])
+        assume(lat.image_kron_factors() is None)
+        return lat
     rows = cols = ()
     if mask == "column":
         rows = draw(st.lists(st.integers(0, n_v - 1), min_size=1, unique=True))
@@ -187,13 +196,12 @@ class TestPotentialProperty:
     # columns 0 and 3 of 4 differ by 1 and by 3 cyclically, so the Schur block
     # reads the offset grid at three columns and the mask at two
     @settings(max_examples=100, deadline=None)
-    @given(lat=kron_lattices(), seed=st.integers(0, 2**32 - 1))
+    @given(lat=masked_lattices(), seed=st.integers(0, 2**32 - 1))
     @example(lat=LatticeSpec.create(8, 4, 5, m_v=0, m_h=0, image_rows=(1, 6),
                                     image_cols=(0, 3)), seed=2)
     def test_matches_dense_oracle(self, lat, seed):
         gen = np.random.default_rng(seed)
-        model = SbdModel.build(lat, DESK_HP, gen.standard_normal(lat.m) * 0.05,
-                               require_kron=True)
+        model = SbdModel.build(lat, DESK_HP, gen.standard_normal(lat.m) * 0.05)
         state = random_state(model, gen)
         u, _ = potential(state.omega, state, model)
         u_dense = dense_marginal_potential(state.omega, state, model)
@@ -203,17 +211,19 @@ class TestPotentialProperty:
 
 class TestGradientProperty:
     # k = n_v - 1 puts support shifts at both ends of the column, where the
-    # cross-correlation index shifts % n_v wraps around
+    # gather index (r_p + s_i) % n_v wraps around; the last example's pixels
+    # share no row and no column
     @settings(max_examples=100, deadline=None)
-    @given(lat=kron_lattices(), seed=st.integers(0, 2**32 - 1))
+    @given(lat=masked_lattices(), seed=st.integers(0, 2**32 - 1))
     @example(lat=LatticeSpec.create(12, 3, 11, m_v=0, m_h=0, image_rows=(0, 5, 11),
                                     image_cols=(0, 2)), seed=0)
     @example(lat=LatticeSpec.create(4, 1, 3, m_v=0, m_h=0, image_rows=(3,),
                                     image_cols=(0,)), seed=1)
+    @example(lat=LatticeSpec.create(10, 3, 9, m_v=0, m_h=0,
+                                    image_pixels=[(0, 0), (4, 1), (9, 2)]), seed=3)
     def test_matches_dense_finite_differences(self, lat, seed):
         gen = np.random.default_rng(seed)
-        model = SbdModel.build(lat, DESK_HP, gen.standard_normal(lat.m) * 0.05,
-                               require_kron=True)
+        model = SbdModel.build(lat, DESK_HP, gen.standard_normal(lat.m) * 0.05)
         state = random_state(model, gen)
         omega = state.omega
         _, ws = potential(omega, state, model)
