@@ -75,12 +75,19 @@ def sample_constrained_image(model: SbdModel, sigma_c2, rng):
 
     The Kriging step uses the correlation R_c; sigma_c2 cancels from it.
     """
-    img = model.image
-    g = FourierGaussian(np.zeros(img.theta.shape, dtype=complex),
-                        sigma_c2 * img.theta)
-    c = sample_fourier_gaussian(g, rng)
+    img, n_v = model.image, model.lattice.n_v
+    theta = img.theta[:model.spectrum.rows]
+    c = sample_fourier_gaussian(FourierGaussian(np.zeros(theta.shape), sigma_c2 * theta,
+                                                n_v), rng)
     weights = scipy.linalg.cho_solve(img.pixel_chol, c[img.pixel_index] - img.c_obs)
-    return krige(c, img.theta, img.pixel_index, weights, img.c_obs)
+    return krige(c, theta, img.pixel_index, weights, img.c_obs)
+
+
+def sample_noise(model: SbdModel, sigma_d2, rng):
+    """One draw of the data noise N(0, sigma_d2 R_d) on the lattice."""
+    theta = model.noise.theta[:model.spectrum.rows]
+    return sample_fourier_gaussian(
+        FourierGaussian(np.zeros(theta.shape), sigma_d2 * theta, model.lattice.n_v), rng)
 
 
 def init_state_from_prior(model: SbdModel, d_obs, streams: RngStreams) -> ModelState:
@@ -97,10 +104,7 @@ def init_state_from_prior(model: SbdModel, d_obs, streams: RngStreams) -> ModelS
 
     sigma_d2 = model.noise.sigma_d2(sc, sw, zt)
     mean = convolve_columns(w_star, c)
-    noise = sample_fourier_gaussian(
-        FourierGaussian(np.zeros((lat.n_v, lat.n_h), dtype=complex),
-                        sigma_d2 * model.noise.theta), rng)
-    d = mean + noise
+    d = mean + sample_noise(model, sigma_d2, rng)
     d[np.ix_(lat.data_rows, lat.data_cols)] = d_obs
 
     state = ModelState(omega=omega, w_star=w_star, c=c, d=d,

@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import SamplerConfig, draw_prior_variances, run_chain, \
-    sample_constrained_image
+    sample_constrained_image, sample_noise
 from .diagnostics import ess, msjd, rmse, sign_changes
 from .errors import DimensionMismatch
 from .fourier import convolve_columns
-from .gauss import FourierGaussian, RngStreams, sample_fourier_gaussian
+from .gauss import RngStreams
 from .model import HyperParams, LatticeSpec, SbdModel, embed_blur
 
 
@@ -68,9 +68,7 @@ def simulate_dataset(recipe: SimRecipe, streams: RngStreams = None):
 
     sigma_d2 = model.noise.sigma_d2(sigma_c2, sigma_w2, zeta)
     mean = convolve_columns(w_star, c)
-    noise = sample_fourier_gaussian(
-        FourierGaussian(np.zeros(c.shape, dtype=complex),
-                        sigma_d2 * model.noise.theta), rng)
+    noise = sample_noise(model, sigma_d2, rng)
     d = mean + noise
 
     # central observed window

@@ -14,10 +14,26 @@ Conventions, fixed once and used by every module:
   realizes exactly that operator.  For the symmetric bases used by all
   covariance matrices this coincides with the Kronecker product of the
   first-row circulant factors.
+
+Half spectra.  Every grid the sampler transforms is real (d, c, w*) or the
+Hermitian-symmetric eigen grid of a real operator (theta, theta_d,
+|lam_w0|^2, lam_A), so the sweep keeps only the half spectrum of the
+*vertical* axis: ``rdft2(x) = rfft2(x, axes=(1, 0), norm="ortho")``, the
+leading ``n_v//2 + 1`` rows of ``dft2(x)``, inverted by ``irdft2(X, n_v)``
+(``irfft2`` with ``s=(n_h, n_v)``); a column uses ``rfft``/``irfft``.
+Conjugation maps row l to row -l, so the rows 0 and n_v/2 are their own
+partners and every other kept row stands for itself and one dropped row:
+a sum over the full grid of a term that conjugation leaves unchanged is
+the sum over the half grid with row weights 1 on rows 0 and n_v/2 and 2
+elsewhere (``HalfSpectrum.weights``).  n_v is always even on the lattice
+(``OddLattice``).  The eigen grids of the model constants are kept full and
+read as leading-row views ``theta[:rows]``, never copied; ``half_to_full``
+rebuilds a full spectrum for callers that want one.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +58,79 @@ def dft2(grid):
 
 def idft2(grid):
     return np.fft.ifft2(grid, norm="ortho")
+
+
+def rdft2(grid):
+    """Unitary half spectrum of a real n_v x n_h grid, (n_v//2 + 1) x n_h."""
+    return np.fft.rfft2(grid, axes=(1, 0), norm="ortho")
+
+
+def irdft2(spec, n_v):
+    """Real n_v x n_h grid whose unitary half spectrum is ``spec``."""
+    return np.fft.irfft2(spec, s=(spec.shape[1], n_v), axes=(1, 0), norm="ortho")
+
+
+@functools.lru_cache(maxsize=64)
+def half_weights(n):
+    """Multiplicity of each half-spectrum row of a length-n real axis.
+
+    1 on row 0 and, for even n, on row n/2; 2 on every other row.  The
+    array is shared, so it is read-only.
+    """
+    weights = np.full(n // 2 + 1, 2.0)
+    weights[0] = 1.0
+    if n % 2 == 0:
+        weights[-1] = 1.0
+    weights.flags.writeable = False
+    return weights
+
+
+def half_to_full(spec, n):
+    """Full spectrum along axis 0 from the half spectrum of a real length-n
+    axis; a second axis, if any, is the complex transform of the columns."""
+    spec = np.asarray(spec)
+    tail = np.conj(spec[1:n - spec.shape[0] + 1][::-1])
+    if spec.ndim == 2:
+        tail = tail[:, (-np.arange(spec.shape[1])) % spec.shape[1]]
+    return np.concatenate([spec, tail])
+
+
+def half_quadform(spec, weights):
+    """Sum over the full grid of |x^|^2 times a symmetric grid g, from the
+    half spectrum ``spec``; ``weights`` is g on the half grid times the row
+    weights."""
+    return float(np.vdot(weights, spec.real**2 + spec.imag**2))
+
+
+@dataclass(frozen=True)
+class HalfSpectrum:
+    """Half-spectrum constants of real n_v x n_h lattice grids.
+
+    ``weights`` are the row multiplicities and ``weight_grid`` the same
+    broadcast over the columns.  ``centre_sign`` is (-1)^l: the half
+    spectrum of a kernel centred at n_v/2, as ``kernel_eigs`` centres it,
+    is its ``rfft`` times this sign.
+    """
+
+    weights: np.ndarray
+    weight_grid: np.ndarray
+    centre_sign: np.ndarray
+
+    @classmethod
+    def build(cls, n_v, n_h):
+        if n_v % 2:
+            raise OddLattice(f"vertical order must be even, got {n_v}")
+        weights = half_weights(n_v)
+        return cls(weights, np.tile(weights[:, None], (1, n_h)),
+                   (-1.0) ** np.arange(weights.size))
+
+    @property
+    def rows(self):
+        return self.weights.size
+
+    def kernel_eigs(self, w_star):
+        """Half column eigenvalues of the centred convolution with ``w_star``."""
+        return np.fft.rfft(w_star) * self.centre_sign
 
 
 def _real_if_close(x, rtol=1e-10):
@@ -224,9 +313,12 @@ def kernel_eigs(columns, axis=0):
 
 def convolve_columns(w_star, grid):
     """Circular convolution of each grid column with the blur vector."""
-    theta = kernel_eigs(w_star)
+    n_v = w_star.size
+    if n_v % 2:
+        raise OddLattice(f"vertical order must be even, got {n_v}")
+    theta = np.fft.rfft(np.roll(w_star, -(n_v // 2)))
     shaped = theta[:, None] if grid.ndim == 2 else theta
-    return np.fft.ifft(shaped * np.fft.fft(grid, axis=0), axis=0).real
+    return np.fft.irfft(shaped * np.fft.rfft(grid, axis=0), n_v, axis=0)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ dense reference on explicit covariance columns.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -24,6 +25,7 @@ from .errors import (
     SingularConstraintGram,
     SingularInnovation,
 )
+from .fourier import half_weights
 
 #: eigenvalues of a covariance more negative than -NEG_EIG_RTOL * max are rejected
 NEG_EIG_RTOL = 1e-10
@@ -80,17 +82,26 @@ class HardConstraint:
 
 @dataclass(frozen=True)
 class FourierGaussian:
-    """Gaussian field in the Fourier domain: DFT'd mean plus covariance eigenvalues.
+    """Real Gaussian field in the Fourier domain: half-spectrum mean plus
+    covariance eigenvalues.
 
-    ``mean_hat`` is the unitary DFT (1-d) or DFT2 (2-d grid) of the mean;
-    ``eig_cov`` the matching grid of real covariance eigenvalues.
+    ``n`` is the length of the field along axis 0, the half axis.
+    ``mean_hat`` is the unitary half spectrum of the mean, ``rfft`` of a
+    column or ``fourier.rdft2`` of a grid, with ``n//2 + 1`` rows;
+    ``eig_cov`` the matching leading rows of the real covariance
+    eigenvalues.  A full spectrum is refused, as its row count differs.
     """
 
     mean_hat: np.ndarray
     eig_cov: np.ndarray
+    n: int
 
     def __post_init__(self):
         mean_hat = np.asarray(self.mean_hat, dtype=complex)
+        if mean_hat.ndim == 0 or mean_hat.shape[0] != self.n // 2 + 1:
+            raise DimensionMismatch(
+                f"expected a half spectrum with {self.n // 2 + 1} rows for a "
+                f"field of length {self.n}, got shape {mean_hat.shape}")
         eig = np.asarray(self.eig_cov)
         if np.iscomplexobj(eig):
             if np.abs(eig.imag).max(initial=0.0) > NEG_EIG_RTOL * max(
@@ -110,21 +121,36 @@ class FourierGaussian:
         object.__setattr__(self, "eig_cov", np.maximum(eig, 0.0))
 
 
+@functools.lru_cache(maxsize=64)
+def _draw_scale(n, ndim):
+    # variance share of the real and of the imaginary part of each
+    # half-spectrum entry: 1/2 on rows with a dropped partner; on the rows
+    # 0 and n/2 the inverse transform keeps only the Hermitian part of the
+    # row, which halves the variance again, so they take the full share
+    scale = 1.0 / half_weights(n)
+    scale = scale.reshape((-1,) + (1,) * (ndim - 1))
+    scale.flags.writeable = False
+    return scale
+
+
 def sample_fourier_gaussian(g: FourierGaussian, rng, size=None):
     """Draw real fields from a stationary Gaussian given in the Fourier domain.
 
-    Draws z with independent unit-variance real and imaginary parts, forms
-    mean_hat + sqrt(eig_cov) * z and returns the real part of the unitary
-    inverse transform.  Under the unitary convention this has covariance
-    exactly equal to the circulant/BCCB matrix with those eigenvalues; no
-    additional scaling constant enters.
+    Draws complex normals z on the half spectrum only, one real normal per
+    field entry plus one per column on each of the rows 0 and n/2, and
+    returns the unitary inverse real transform of mean_hat + s * z, with
+    s^2 the eigenvalue over the row weight (Wood & Chan 1994; Dietrich &
+    Newsam 1997).  The result has covariance exactly equal to the
+    circulant/BCCB matrix with those eigenvalues.
     """
     shape = g.mean_hat.shape
+    ndim = len(shape)
     batch = () if size is None else (int(size),)
-    z = rng.standard_normal(batch + shape) + 1j * rng.standard_normal(batch + shape)
-    xhat = g.mean_hat + np.sqrt(g.eig_cov) * z
-    axes = tuple(range(-g.mean_hat.ndim, 0))
-    return np.fft.ifftn(xhat, axes=axes, norm="ortho").real
+    z = rng.standard_normal(batch + shape + (2,)).view(complex).reshape(batch + shape)
+    xhat = g.mean_hat + np.sqrt(g.eig_cov * _draw_scale(g.n, ndim)) * z
+    # the real transform runs along the half axis, listed last
+    axes = tuple(range(-1, -ndim - 1, -1))
+    return np.fft.irfftn(xhat, s=shape[:0:-1] + (g.n,), axes=axes, norm="ortho")
 
 
 def conditional_params(mu, sigma, a, sigma_e, y):
@@ -191,19 +217,23 @@ def krige(x, eig_cov, index, weights, values):
     """Correct a stationary draw so the entries ``x[index]`` hit ``values`` exactly.
 
     ``x`` is a draw on a column or a lattice grid and ``eig_cov`` the
-    eigenvalue grid (``fftn`` of the base) of its circulant or BCCB
-    covariance Sigma.  ``weights`` solve the Gram of Sigma at ``index`` for
-    the residual ``x[index] - values``; a common scale of Sigma cancels.
-    The correction Sigma A^T weights is Sigma applied to the weights
-    embedded on the lattice, so it costs one FFT pair (Rue & Held 2005,
-    section 2.3.3).
+    half-spectrum eigenvalue grid (the leading ``n//2 + 1`` rows of ``fftn``
+    of the base) of its circulant or BCCB covariance Sigma.  ``weights``
+    solve the Gram of Sigma at ``index`` for the residual
+    ``x[index] - values``; a common scale of Sigma cancels.  The correction
+    Sigma A^T weights is Sigma applied to the weights embedded on the
+    lattice, so it costs one real FFT pair (Rue & Held 2005, section 2.3.3).
     """
     out = np.array(x, dtype=float)
+    if np.shape(eig_cov)[0] != out.shape[0] // 2 + 1:
+        raise DimensionMismatch("Kriging needs the half-spectrum eigenvalues")
     if np.size(weights) == 0:
         return out
     embed = np.zeros_like(out)
     embed[index] = weights
-    out -= np.fft.ifftn(eig_cov * np.fft.fftn(embed)).real
+    axes = tuple(range(out.ndim))[::-1]
+    out -= np.fft.irfftn(eig_cov * np.fft.rfftn(embed, axes=axes),
+                         s=out.shape[::-1], axes=axes)
     out[index] = values
     return out
 

@@ -8,7 +8,6 @@ posterior over (d_u, c_u, omega, sigma_c^2, sigma_w^2, zeta).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +21,7 @@ from .errors import (
     NonPositiveVariance,
     OddLattice,
 )
-from .fourier import CirculantMatrix, convolve_columns, kernel_eigs
+from .fourier import CirculantMatrix, HalfSpectrum, half_quadform, half_weights, rdft2
 from .gauss import krige, spd_factor, spd_solve
 
 
@@ -225,6 +224,10 @@ class BlurPrior:
     full-rank effective-blur correlation.  ``free`` holds the n_v - k
     coordinates off the support and ``free_offsets`` their cyclic offsets,
     so ``base[free_offsets]`` is the free block of a circulant with ``base``.
+    ``theta`` is the half spectrum of R_w.  ``impulse_eigs`` (k x half
+    rows) holds the half column eigenvalues of the shift operators
+    dW0/domega_i, so omega @ impulse_eigs are those of the blur, and
+    ``impulse_eigs_w`` the same times the row weights.
     """
 
     r_w: CirculantMatrix
@@ -234,6 +237,9 @@ class BlurPrior:
     logdet_r_omega: float
     free: np.ndarray
     free_offsets: np.ndarray
+    theta: np.ndarray
+    impulse_eigs: np.ndarray
+    impulse_eigs_w: np.ndarray
 
     @property
     def k(self):
@@ -268,7 +274,10 @@ def build_blur_prior(lattice: LatticeSpec, hp: HyperParams) -> BlurPrior:
     chol = np.tril(chol)
     logdet = 2.0 * np.log(np.diag(chol)).sum()
     free_offsets = (free[:, None] - free[None, :]) % n_v
-    return BlurPrior(r_w, r_tilde, r_omega, chol, logdet, free, free_offsets)
+    weights = half_weights(n_v)
+    impulse = np.exp(-2j * np.pi * np.outer(sup - n_v // 2, np.arange(weights.size)) / n_v)
+    return BlurPrior(r_w, r_tilde, r_omega, chol, logdet, free, free_offsets,
+                     r_w.eigs.real[:weights.size], impulse, impulse * weights)
 
 
 def embed_blur(omega, lattice: LatticeSpec):
@@ -283,17 +292,21 @@ class ImagePrior:
     """Zero-mean separable image prior with m exactly observed pixels.
 
     ``theta`` and ``base`` are the eigenvalue and base grids of the
-    correlation BCCB R_c = R_{c,h} (x) R_{c,v}.  ``pixel_index`` holds the
-    (rows, cols) of the constrained pixels and ``pixel_offsets`` their m x m
-    cyclic row and column offsets, so ``base[pixel_offsets]`` is the pixel
-    block of R_c and ``pixel_chol`` its lower Cholesky factor, as a
-    ``cho_factor`` pair with a zero upper triangle.  ``mu_hat`` is the
-    unitary DFT2 of the prior mean ``mu_tilde``.
+    correlation BCCB R_c = R_{c,h} (x) R_{c,v}.  ``quad_weights`` is the row
+    weights over ``theta`` on the half grid, so ``half_quadform(rdft2(c),
+    quad_weights)`` is c^T R_c^{-1} c, and ``logdet_theta`` is log|R_c|.
+    ``pixel_index`` holds the (rows, cols) of the constrained pixels and
+    ``pixel_offsets`` their m x m cyclic row and column offsets, so
+    ``pixel_block = base[pixel_offsets]`` is the pixel block of R_c and
+    ``pixel_chol`` its lower Cholesky factor, as a ``cho_factor`` pair with
+    a zero upper triangle.  ``mu_hat`` is the unitary half spectrum of the
+    prior mean ``mu_tilde`` and ``mu_hat_conj`` its conjugate.
 
     The pixels touch only the constrained columns C and their cyclic
     differences J, so a transform of a grid held on them needs one column
     FFT and a small DFT along the rows: ``col_dft`` (|C| x n_h) and
-    ``diff_dft`` (|J| x n_h) hold exp(-2 pi i c l / n_h) for c in C and J.
+    ``diff_dft`` (|J| x n_h) hold exp(-2 pi i c l / n_h) for c in C and J,
+    and ``col_idft`` the conjugate of ``col_dft``.
     ``pixel_slots`` indexes the pixels in an n_v x |C| grid and
     ``offset_slots`` their m x m offsets, flat, in an n_v x |J| grid.  The
     pixels may lie anywhere.
@@ -303,14 +316,18 @@ class ImagePrior:
     r_ch: CirculantMatrix
     theta: np.ndarray
     base: np.ndarray
+    quad_weights: np.ndarray
+    logdet_theta: float
     c_obs: np.ndarray
     mu_tilde: np.ndarray
     mu_hat: np.ndarray
-    mu_conv_eigs: np.ndarray
+    mu_hat_conj: np.ndarray
     pixel_index: tuple
     pixel_offsets: tuple
+    pixel_block: np.ndarray
     pixel_chol: tuple
     col_dft: np.ndarray
+    col_idft: np.ndarray
     diff_dft: np.ndarray
     pixel_slots: tuple
     offset_slots: np.ndarray
@@ -340,23 +357,31 @@ def build_image_prior(lattice: LatticeSpec, hp: HyperParams, c_obs,
     index = (px[:, 0], px[:, 1])
     offsets = ((px[:, 0][:, None] - px[:, 0][None, :]) % lattice.n_v,
                (px[:, 1][:, None] - px[:, 1][None, :]) % lattice.n_h)
-    chol, lower = spd_factor(base[offsets])
+    pixel_block = base[offsets]
+    chol, lower = spd_factor(pixel_block)
     pixel_chol = (np.tril(chol), lower)
+    half = theta[:lattice.n_v // 2 + 1]
     # the constrained prior mean is a zero field Kriged onto c_o
-    mu = krige(np.zeros(theta.shape), theta, index,
+    mu = krige(np.zeros(theta.shape), half, index,
                scipy.linalg.cho_solve(pixel_chol, -c_obs), c_obs)
+    mu_hat = rdft2(mu)
     # constrained columns C and their cyclic differences J, with the row
     # DFTs restricted to them
     con_cols, col_slot = np.unique(px[:, 1], return_inverse=True)
     diffs, diff_slot = np.unique(offsets[1], return_inverse=True)
     freqs = 2j * np.pi * np.arange(lattice.n_h) / lattice.n_h
     offset_slots = offsets[0] * diffs.size + diff_slot.reshape(offsets[1].shape)
-    return ImagePrior(r_cv, r_ch, theta, base, c_obs, mu,
-                      np.fft.fft2(mu, norm="ortho"), kernel_eigs(mu),
-                      index, offsets, pixel_chol,
-                      np.exp(-np.outer(con_cols, freqs)),
-                      np.exp(-np.outer(diffs, freqs)),
+    col_dft = np.exp(-np.outer(con_cols, freqs))
+    return ImagePrior(r_cv, r_ch, theta, base, _quad_weights(half),
+                      float(np.sum(np.log(theta))), c_obs, mu, mu_hat,
+                      np.conj(mu_hat), index, offsets, pixel_block, pixel_chol,
+                      col_dft, np.conj(col_dft), np.exp(-np.outer(diffs, freqs)),
                       (px[:, 0], col_slot.ravel()), offset_slots)
+
+
+def _quad_weights(half_theta):
+    """Row weights over a half eigen grid: the weights of ``half_quadform``."""
+    return half_weights(2 * (half_theta.shape[0] - 1))[:, None] / half_theta
 
 
 @dataclass(frozen=True)
@@ -366,14 +391,19 @@ class NoiseModel:
     ``chol_obs_v`` and ``chol_obs_h`` are the ``cho_factor`` pairs of R_{d,v}
     on the observed rows and of R_{d,h} on the observed columns; together
     they solve the Kronecker Gram of the observed data window.
+    ``inv_theta_v`` and ``inv_theta_h`` are 1/theta of the two factors,
+    the vertical one on the half rows; ``quad_weights`` and ``logdet_theta``
+    are as in ``ImagePrior``.
     """
 
     r_dv: CirculantMatrix
     r_dh: CirculantMatrix
     theta: np.ndarray
     base: np.ndarray
-    tau_offsets: np.ndarray
-    tau_values: np.ndarray
+    inv_theta_v: np.ndarray
+    inv_theta_h: np.ndarray
+    quad_weights: np.ndarray
+    logdet_theta: float
     chol_obs_v: tuple
     chol_obs_h: tuple
     psi: float
@@ -382,32 +412,19 @@ class NoiseModel:
         return self.psi * sigma_c2 * sigma_w2 * zeta
 
 
-#: entries of the horizontal noise precision below this relative size are
-#: treated as structural zeros in the double-sum eigenvalue assembly
-TAU_SPARSITY_RTOL = 1e-12
-
-
 def build_noise_model(lattice: LatticeSpec, hp: HyperParams) -> NoiseModel:
     r_dv = build_correlation(lattice.n_v, hp.noise_v)
     r_dh = build_correlation(lattice.n_h, hp.noise_h)
     theta = np.outer(r_dv.eigs.real, r_dh.eigs.real)
     base = np.outer(r_dv.base, r_dh.base)
-    tau_base = np.fft.ifft(1.0 / r_dh.eigs).real
-    keep = np.abs(tau_base) >= TAU_SPARSITY_RTOL * np.abs(tau_base).max()
-    offsets = np.flatnonzero(keep)
+    half = theta[:lattice.n_v // 2 + 1]
     rows, cols = lattice.data_rows, lattice.data_cols
     chol_obs_v = spd_factor(r_dv.dense().real[np.ix_(rows, rows)])
     chol_obs_h = spd_factor(r_dh.dense().real[np.ix_(cols, cols)])
-    return NoiseModel(r_dv, r_dh, theta, base, offsets, tau_base[offsets],
+    return NoiseModel(r_dv, r_dh, theta, base,
+                      1.0 / r_dv.eigs.real[:half.shape[0]], 1.0 / r_dh.eigs.real,
+                      _quad_weights(half), float(np.sum(np.log(theta))),
                       chol_obs_v, chol_obs_h, hp.psi)
-
-
-@functools.lru_cache(maxsize=32)
-def _impulse_eigs(n_v, start, k):
-    # eigenvalues of the shift operators dW0/dw*_i; geometry only
-    shifts = np.arange(start, start + k) - n_v // 2
-    freqs = np.arange(n_v)
-    return np.exp(-2j * np.pi * np.outer(shifts, freqs) / n_v)
 
 
 @dataclass(frozen=True)
@@ -415,7 +432,7 @@ class SbdModel:
     """Immutable bundle of lattice geometry, priors, and noise structure.
 
     ``aux_index`` holds the column-major flat indices of the padding data
-    nodes.
+    nodes and ``spectrum`` the half-spectrum constants of the lattice.
     """
 
     lattice: LatticeSpec
@@ -424,6 +441,7 @@ class SbdModel:
     image: ImagePrior
     noise: NoiseModel
     aux_index: np.ndarray
+    spectrum: HalfSpectrum
 
     @classmethod
     def build(cls, lattice: LatticeSpec, hp: HyperParams = None, c_obs=(),
@@ -436,12 +454,8 @@ class SbdModel:
             build_image_prior(lattice, hp, c_obs, require_kron=require_kron),
             build_noise_model(lattice, hp),
             lattice.aux_flat_index(),
+            HalfSpectrum.build(lattice.n_v, lattice.n_h),
         )
-
-    def blur_impulse_eigs(self):
-        """Per-support-index eigenvalues of the convolution derivative, (k, n_v)."""
-        lat = self.lattice
-        return _impulse_eigs(lat.n_v, int(lat.blur_support[0]), lat.blur_len)
 
 
 @dataclass
@@ -482,17 +496,14 @@ def ig_logpdf(x, alpha, beta):
             - (alpha + 1) * np.log(x) - beta / x)
 
 
-def gaussian_field_logpdf(resid_grid, theta, marginal_var):
+def gaussian_field_logpdf(quad, logdet_theta, n, marginal_var):
     """Log density of N(0, marginal_var * R) for a real field on the lattice.
 
-    ``theta`` holds the (positive, real) eigenvalues of the correlation R;
-    the quadratic form is evaluated with the unitary Parseval identity.
+    ``quad`` is x^T R^{-1} x, as ``half_quadform`` gives it, and
+    ``logdet_theta`` log|R| for the n x n correlation R.
     """
-    n = resid_grid.size
-    rhat = np.fft.fft2(resid_grid, norm="ortho")
-    quad = float(np.sum((rhat.real**2 + rhat.imag**2) / theta)) / marginal_var
-    logdet = float(np.sum(np.log(theta))) + n * np.log(marginal_var)
-    return -0.5 * (n * np.log(2.0 * np.pi) + logdet + quad)
+    logdet = logdet_theta + n * np.log(marginal_var)
+    return -0.5 * (n * np.log(2.0 * np.pi) + logdet + quad / marginal_var)
 
 
 def log_posterior_unnorm(state: ModelState, model: SbdModel):
@@ -500,10 +511,14 @@ def log_posterior_unnorm(state: ModelState, model: SbdModel):
     if min(state.sigma_c2, state.sigma_w2, state.zeta) <= 0:
         raise NonPositiveVariance("variance parameters must be positive")
     state.check(model)
-    sigma_d2 = state.sigma_d2
-    resid = state.d - convolve_columns(state.w_star, state.c)
-    lik = gaussian_field_logpdf(resid, model.noise.theta, sigma_d2)
-    img = gaussian_field_logpdf(state.c, model.image.theta, state.sigma_c2)
+    noise, image, n = model.noise, model.image, model.lattice.n
+    chat = rdft2(state.c)
+    # the column convolution commutes with the DFT along the rows
+    resid = rdft2(state.d) - model.spectrum.kernel_eigs(state.w_star)[:, None] * chat
+    lik = gaussian_field_logpdf(half_quadform(resid, noise.quad_weights),
+                                noise.logdet_theta, n, state.sigma_d2)
+    img = gaussian_field_logpdf(half_quadform(chat, image.quad_weights),
+                                image.logdet_theta, n, state.sigma_c2)
 
     k = model.lattice.blur_len
     quad_w = state.omega @ model.blur.solve(state.omega) / state.sigma_w2

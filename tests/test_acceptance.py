@@ -20,6 +20,7 @@ from sbdeconv.diagnostics import (
     sign_changes,
 )
 from sbdeconv.experiments import SimRecipe, constraint_sweep, simulate_dataset
+from sbdeconv.fourier import half_to_full
 from sbdeconv.gauss import (
     FourierGaussian,
     HardConstraint,
@@ -167,8 +168,10 @@ class TestOracleEquivalenceHmcPotential:
             _, ws = potential(state.omega, state, model)
             dm = DenseModel(model, state)
             cov = dm.sigma_d_omega()
+            lam_a = half_to_full(ws.lam_a, lat.n_v)
+            lam_w0 = half_to_full(ws.lam_w0, lat.n_v)
 
-            logdet = float(np.sum(np.log(ws.lam_a)))
+            logdet = float(np.sum(np.log(lam_a)))
             if m:
                 logdet += 2.0 * (np.log(np.diag(ws.chol_s)).sum()
                                  - np.log(np.diag(ws.chol_mc)).sum())
@@ -176,7 +179,8 @@ class TestOracleEquivalenceHmcPotential:
                            / abs(dense_logdet(cov)))
 
             dbar = np.ravel(ws.dbar, order="F")
-            quad = float(np.sum((np.abs(ws.dbar_hat) ** 2) / ws.lam_a))
+            quad = float(np.sum((np.abs(half_to_full(ws.dbar_hat, lat.n_v)) ** 2)
+                                / lam_a))
             if m:
                 quad += float(ws.q @ ws.s_inv_q)
             ref = dbar @ scipy.linalg.solve(cov, dbar, assume_a="pos")
@@ -187,11 +191,11 @@ class TestOracleEquivalenceHmcPotential:
             ri, rj = flat % lat.n_v, flat // lat.n_v
             shift = ((ri[:, None] - ri[None, :]) % lat.n_v,
                      (rj[:, None] - rj[None, :]) % lat.n_h)
-            a_inv = np.fft.ifft2(1.0 / ws.lam_a).real[shift]
+            a_inv = np.fft.ifft2(1.0 / lam_a).real[shift]
             inv = a_inv
             if m:
                 lam_b = state.sigma_c2 * model.image.theta \
-                    * ws.lam_w0[:, None] / ws.lam_a
+                    * lam_w0[:, None] / lam_a
                 b_mat = np.fft.ifft2(lam_b).real[shift]
                 sel = lat.image_flat_index()
                 a_c = np.zeros((lat.m, lat.n))
@@ -285,7 +289,8 @@ class TestDistributionalChecks:
 
         mean_hat, eig_grid = image_fc_params(state, model)
         draws = 200_000
-        g = FourierGaussian(mean_hat, eig_grid)
+        rows = lat.n_v // 2 + 1
+        g = FourierGaussian(mean_hat[:rows], eig_grid[:rows], lat.n_v)
         fields = sample_fourier_gaussian(g, streams.image, size=draws)
         # column-major flattening of each draw
         flat = fields.transpose(0, 2, 1).reshape(draws, -1)

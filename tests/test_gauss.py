@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from sbdeconv.errors import ConstraintViolated, NegativeEigenvalue
-from sbdeconv.fourier import dft
+from sbdeconv.errors import ConstraintViolated, DimensionMismatch, NegativeEigenvalue
+from sbdeconv.fourier import BccbMatrix, CirculantMatrix
 from sbdeconv.gauss import (
     FourierGaussian,
     HardConstraint,
@@ -12,11 +12,16 @@ from sbdeconv.gauss import (
     condition_by_kriging,
     conditional_params,
     constrained_logdensity,
+    krige,
     sample_fourier_gaussian,
 )
 from sbdeconv.model import CorrelationSpec, build_correlation
 
 rng = np.random.default_rng(123)
+
+
+def rdft(x):
+    return np.fft.rfft(x, norm="ortho")
 
 
 def random_spd(n, gen):
@@ -81,20 +86,20 @@ class TestConditionalParams:
 class TestFourierGaussianSampling:
     def test_zero_eigenvalues_return_mean(self):
         mean = rng.standard_normal(8)
-        g = FourierGaussian(dft(mean), np.zeros(8))
+        g = FourierGaussian(rdft(mean), np.zeros(5), 8)
         out = sample_fourier_gaussian(g, np.random.default_rng(0))
         np.testing.assert_allclose(out, mean, atol=1e-12)
 
     def test_negative_eigenvalue_rejected(self):
         with pytest.raises(NegativeEigenvalue):
             FourierGaussian(np.zeros(4, dtype=complex),
-                            np.array([1.0, -0.5, 1.0, 0.5]))
+                            np.array([1.0, -0.5, 1.0, 0.5]), 6)
 
     def test_mean_recovery_monte_carlo(self):
         n, draws = 8, 200_000
         corr = build_correlation(n, CorrelationSpec(1.5, 1.0))
         mean = rng.standard_normal(n)
-        g = FourierGaussian(dft(mean), corr.eigs.real)
+        g = FourierGaussian(rdft(mean), corr.eigs.real[:n // 2 + 1], n)
         xs = sample_fourier_gaussian(g, np.random.default_rng(42), size=draws)
         marginal_sd = np.sqrt(corr.base[0])
         bound = 4.0 * marginal_sd / np.sqrt(draws)
@@ -103,7 +108,8 @@ class TestFourierGaussianSampling:
     def test_lag_one_circular_covariance(self):
         n, draws = 8, 200_000
         corr = build_correlation(n, CorrelationSpec(1.5, 1.0))
-        g = FourierGaussian(np.zeros(n, dtype=complex), corr.eigs.real)
+        g = FourierGaussian(np.zeros(n // 2 + 1, dtype=complex),
+                            corr.eigs.real[:n // 2 + 1], n)
         xs = sample_fourier_gaussian(g, np.random.default_rng(7), size=draws)
         lag1 = np.mean(xs * np.roll(xs, 1, axis=1))
         assert abs(lag1 - corr.base[1]) < 5e-3
@@ -111,7 +117,8 @@ class TestFourierGaussianSampling:
     def test_marginal_variance(self):
         n, draws = 8, 200_000
         corr = build_correlation(n, CorrelationSpec(1.5, 1.0))
-        g = FourierGaussian(np.zeros(n, dtype=complex), corr.eigs.real)
+        g = FourierGaussian(np.zeros(n // 2 + 1, dtype=complex),
+                            corr.eigs.real[:n // 2 + 1], n)
         xs = sample_fourier_gaussian(g, np.random.default_rng(9), size=draws)
         assert abs(np.mean(xs**2) - corr.base[0]) < 5e-3
 
@@ -119,10 +126,75 @@ class TestFourierGaussianSampling:
         r_v = build_correlation(6, CorrelationSpec(1.5, 1.0))
         r_h = build_correlation(4, CorrelationSpec(1.5, 1.0))
         theta = np.outer(r_v.eigs.real, r_h.eigs.real)
-        g = FourierGaussian(np.zeros((6, 4), dtype=complex), theta)
+        g = FourierGaussian(np.zeros((4, 4), dtype=complex), theta[:4], 6)
         xs = sample_fourier_gaussian(g, np.random.default_rng(1), size=50_000)
         assert xs.shape == (50_000, 6, 4)
         assert abs(np.mean(xs**2) - 1.0) < 2e-2
+
+
+class UnitNormals:
+    """Stands in for a generator: every normal is 0 except entry ``index``
+    (none for ``index=None``), so a draw is one column of the linear map
+    from the normals to the field, plus the mean."""
+
+    def __init__(self, index=None):
+        self.index = index
+
+    def standard_normal(self, shape):
+        z = np.zeros(shape)
+        if self.index is not None:
+            z.flat[self.index] = 1.0
+        return z
+
+
+def symmetric_eigs(shape, gen):
+    """Positive eigenvalues of a real symmetric circulant or BCCB: even
+    under (l, j) -> (-l, -j), not separable."""
+    eig = gen.uniform(0.1, 2.0, shape)
+    flipped = eig[(-np.arange(shape[0])) % shape[0]]
+    if len(shape) == 2:
+        flipped = flipped[:, (-np.arange(shape[1])) % shape[1]]
+    return 0.5 * (eig + flipped)
+
+
+class TestHalfSpectrumDraw:
+    """The half-spectrum draw is exact: its linear map from the normals has
+    Gram matrix equal to the covariance, and its offset is the mean."""
+
+    @pytest.mark.parametrize("shape", [(6,), (8,), (7,), (6, 1), (6, 2), (6, 3),
+                                       (6, 4), (8, 1), (8, 2), (8, 3), (8, 4)])
+    def test_covariance_and_mean_exact(self, shape):
+        gen = np.random.default_rng(sum(shape))
+        n = shape[0]
+        rows = n // 2 + 1
+        eig = symmetric_eigs(shape, gen)
+        mean = gen.standard_normal(shape)
+        if len(shape) == 1:
+            mean_hat = np.fft.rfft(mean, norm="ortho")
+            dense = CirculantMatrix.from_eigs(eig).dense()
+        else:
+            mean_hat = np.fft.rfft2(mean, axes=(1, 0), norm="ortho")
+            dense = BccbMatrix.from_eigs(eig).dense()
+        g = FourierGaussian(mean_hat, eig[:rows], n)
+
+        offset = sample_fourier_gaussian(g, UnitNormals())
+        np.testing.assert_allclose(offset, mean, rtol=0, atol=1e-12)
+        cols = np.array([np.ravel(sample_fourier_gaussian(g, UnitNormals(i)) - offset,
+                                  order="F")
+                         for i in range(2 * mean_hat.size)])
+        gram = cols.T @ cols
+        assert np.abs(gram - dense).max() <= 1e-12 * np.abs(dense).max()
+
+    def test_full_spectrum_rejected(self):
+        # a full spectrum of length 8 is refused for a field of length 8, but
+        # it has the shape of the half spectrum of a field of length 14
+        eig = build_correlation(8, CorrelationSpec(1.5, 1.0)).eigs.real
+        full = np.fft.fft(rng.standard_normal(8), norm="ortho")
+        with pytest.raises(DimensionMismatch):
+            FourierGaussian(full, eig, 8)
+        with pytest.raises(DimensionMismatch):
+            krige(np.zeros(8), eig, np.array([1]), np.ones(1), np.zeros(1))
+        assert FourierGaussian(full, eig, 14).mean_hat.shape == (8,)
 
 
 class TestConditionByKriging:

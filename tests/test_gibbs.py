@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
 from sbdeconv.chain import init_state_from_prior
-from sbdeconv.fourier import convolve_columns
+from sbdeconv.fourier import BccbMatrix, CirculantMatrix, convolve_columns, rdft2
 from sbdeconv.gauss import FourierGaussian, RngStreams, sample_fourier_gaussian
 from sbdeconv.gibbs import (
     GibbsWorkspace,
+    aux_fc_params,
     blur_fc_params,
     gamma_precision_eigs,
     gibbs_sweep,
@@ -36,6 +38,9 @@ from sbdeconv.model import (
     SbdModel,
     embed_blur,
 )
+from sbdeconv.oracle import DenseModel
+from test_hmc import masked_lattices, random_state
+from test_kriging import specs
 
 DESK_HP = HyperParams(blur=CorrelationSpec(1.5, 1.5))
 
@@ -78,6 +83,53 @@ def dense_pieces(model, state):
     return gamma, w_full, r_d, r_c
 
 
+def _fc_moments(params):
+    """Mean and dense covariance of the unconstrained draw a full-spectrum
+    (mean, eigenvalue) pair describes; the covariance is symmetric."""
+    mean_hat, eig_cov = params
+    if mean_hat.ndim == 1:
+        return (np.fft.ifft(mean_hat, norm="ortho").real,
+                CirculantMatrix.from_eigs(eig_cov).dense())
+    return (np.ravel(np.fft.ifft2(mean_hat, norm="ortho").real, order="F"),
+            BccbMatrix.from_eigs(eig_cov).dense())
+
+
+class TestConditionalProperty:
+    """Fourier mean and covariance of the blur, image and aux-data full
+    conditionals against the dense Gaussian conditioning formulas of
+    ``oracle.DenseModel``, to 1e-10 relative, on random lattices."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(lat=masked_lattices(), image=st.tuples(specs, specs),
+           noise=st.tuples(specs, specs), seed=st.integers(0, 2**32 - 1))
+    def test_matches_dense_conditioning(self, lat, image, noise, seed):
+        gen = np.random.default_rng(seed)
+        hp = HyperParams(blur=DESK_HP.blur, image_v=image[0], image_h=image[1],
+                         noise_v=noise[0], noise_h=noise[1])
+        model = SbdModel.build(lat, hp, gen.standard_normal(lat.m) * 0.05)
+        state = random_state(model, gen)
+        dm = DenseModel(model, state)
+        d = np.ravel(state.d, order="F")
+
+        def conditioned(prior, op):
+            cross = prior @ op.T
+            inner = op @ cross + dm.sigma_d
+            return (cross @ scipy.linalg.solve(inner, d, assume_a="pos"),
+                    prior - cross @ scipy.linalg.solve(inner, cross.T, assume_a="pos"))
+
+        refs = {
+            "blur": conditioned(state.sigma_w2 * dm.r_w, dm.gamma),
+            "image": conditioned(state.sigma_c2 * dm.r_c, dm.w_full),
+            "aux": (dm.w_full @ np.ravel(state.c, order="F"), dm.sigma_d),
+        }
+        for name, params in (("blur", blur_fc_params(state, model)),
+                             ("image", image_fc_params(state, model)),
+                             ("aux", aux_fc_params(state, model))):
+            for got, ref in zip(_fc_moments(params), refs[name]):
+                gap = np.abs(got - ref).max() / np.abs(ref).max()
+                assert gap <= 1e-10, f"{name}: relative error {gap:.2e}"
+
+
 class TestBlurConditional:
     def test_params_match_dense_joint(self):
         model = make_model()
@@ -110,12 +162,10 @@ class TestBlurConditional:
                                image_rows=(), image_cols=())
             state = make_state(model)
             gamma, _, r_d, _ = dense_pieces(model, state)
-            lam = gamma_precision_eigs(np.fft.fft(
-                np.roll(state.c, -model.lattice.n_v // 2, axis=0), axis=0),
-                model)
+            lam = gamma_precision_eigs(rdft2(state.c), model)
             dense = gamma.T @ np.linalg.solve(r_d, gamma)
             idx = np.arange(model.lattice.n_v)
-            base = np.fft.ifft(lam).real
+            base = np.fft.irfft(lam, model.lattice.n_v)
             struct = base[(idx[:, None] - idx[None, :]) % model.lattice.n_v]
             assert np.abs(struct - dense).max() / np.abs(dense).max() < 1e-9
 
@@ -335,9 +385,10 @@ def _geweke_replicate(model, seed, sweeps):
     ws = GibbsWorkspace()
     for _ in range(sweeps):
         mean = convolve_columns(state.w_star, state.c)
+        rows = lat.n_v // 2 + 1
         noise = sample_fourier_gaussian(FourierGaussian(
-            np.zeros((lat.n_v, lat.n_h), dtype=complex),
-            state.sigma_d2 * model.noise.theta), streams.sim)
+            np.zeros((rows, lat.n_h), dtype=complex),
+            state.sigma_d2 * model.noise.theta[:rows], lat.n_v), streams.sim)
         state.d = mean + noise
         gibbs_sweep(state, model, streams, alpha=0.0, ws=ws)
     return state

@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import sbdeconv.hmc
 from sbdeconv.errors import IndefiniteS, StaleWorkspace
+from sbdeconv.fourier import half_to_full
 from sbdeconv.gauss import RngStreams
 from sbdeconv.hmc import (
     DualAveraging,
@@ -90,7 +91,8 @@ class TestPotential:
         model = desk_model()
         state = desk_state(model)
         _, ws = potential(state.omega, state, model)
-        struct = float(np.sum(np.log(ws.lam_a))) + 2.0 * (
+        lam_a = half_to_full(ws.lam_a, model.lattice.n_v)
+        struct = float(np.sum(np.log(lam_a))) + 2.0 * (
             np.log(np.diag(ws.chol_s)).sum() - np.log(np.diag(ws.chol_mc)).sum())
         dm = DenseModel(model, state)
         assert abs(struct - dense_logdet(dm.sigma_d_omega())) < 1e-8
@@ -137,9 +139,11 @@ class TestGradient:
         assert rel.max() < 1e-4
         # reduced potential: prior plus half log-determinant only
         prior_term = model.blur.solve(state.omega) / state.sigma_w2
-        lam_dot = model.blur_impulse_eigs()
-        a_all = 2.0 * (lam_dot * np.conj(ws.lam_w0)[None, :]).real
-        colagg = state.sigma_c2 * np.sum(model.image.theta / ws.lam_a, axis=1)
+        n_v = model.lattice.n_v
+        lam_dot = np.array([half_to_full(row, n_v) for row in model.blur.impulse_eigs])
+        a_all = 2.0 * (lam_dot * np.conj(half_to_full(ws.lam_w0, n_v))[None, :]).real
+        colagg = state.sigma_c2 * np.sum(model.image.theta
+                                         / half_to_full(ws.lam_a, n_v), axis=1)
         np.testing.assert_allclose(g, prior_term + 0.5 * (a_all @ colagg),
                                    atol=1e-12)
 

@@ -61,7 +61,7 @@ def test_column_kriging_matches_dense(lat, spec, seed):
     x = np.random.default_rng(seed).standard_normal(lat.n_v)
     sel = lat.blur_free
     values = np.zeros(sel.size)
-    got = krige(x, corr.eigs.real, sel,
+    got = krige(x, corr.eigs.real[:lat.n_v // 2 + 1], sel,
                 gram_weights(x, corr.dense().real, sel, values), values)
     assert_close(got, dense_kriging(x, corr.dense().real, sel, values))
 
@@ -77,7 +77,8 @@ def test_lattice_kriging_matches_dense(lat, spec_v, spec_h, seed):
     sel = lat.image_flat_index()
     flat = np.ravel(x, order="F")
     px = lat.image_pixels
-    got = krige(x, np.outer(r_v.eigs.real, r_h.eigs.real), (px[:, 0], px[:, 1]),
+    got = krige(x, np.outer(r_v.eigs.real, r_h.eigs.real)[:lat.n_v // 2 + 1],
+                (px[:, 0], px[:, 1]),
                 gram_weights(flat, sigma, sel, values), values)
     ref = dense_kriging(flat, sigma, sel, values)
     assert_close(np.ravel(got, order="F"), ref)
