@@ -8,7 +8,6 @@ are summed as-is.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import DegenerateTrace, DimensionMismatch
 
@@ -82,6 +81,8 @@ def _as_samples(x):
 
 def energy_distance(x, y):
     """Energy distance statistic between two multivariate samples."""
+    # imported here to keep scipy.spatial out of ``import sbdeconv``
+    from scipy.spatial.distance import cdist
     x, y = _as_samples(x), _as_samples(y)
     dxy = cdist(x, y).mean()
     dxx = cdist(x, x).mean()
@@ -96,6 +97,7 @@ def energy_distance_test(x, y, n_perm=199, rng=None, block=1):
     length are permuted as units, so within-chain dependence shorter than a
     block is preserved under the null and the test stays honestly sized.
     """
+    from scipy.spatial.distance import cdist
     rng = rng if rng is not None else np.random.default_rng(0)
     x, y = _as_samples(x), _as_samples(y)
     if block > 1:

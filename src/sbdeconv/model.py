@@ -8,11 +8,11 @@ posterior over (d_u, c_u, omega, sigma_c^2, sigma_w^2, zeta).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.special
 from scipy.linalg import lapack
 
 from .errors import (
@@ -304,12 +304,15 @@ class ImagePrior:
 
     The pixels touch only the constrained columns C and their cyclic
     differences J, so a transform of a grid held on them needs one column
-    FFT and a small DFT along the rows: ``col_dft`` (|C| x n_h) and
-    ``diff_dft`` (|J| x n_h) hold exp(-2 pi i c l / n_h) for c in C and J,
-    and ``col_idft`` the conjugate of ``col_dft``.
-    ``pixel_slots`` indexes the pixels in an n_v x |C| grid and
-    ``offset_slots`` their m x m offsets, flat, in an n_v x |J| grid.  The
-    pixels may lie anywhere.
+    FFT and a small DFT E_X = exp(-2 pi i c l / n_h), c in X, along the rows,
+    stored with the marginal potential's scales: ``col_dft`` (|C| x n_h) is
+    E_C / sqrt(n), ``col_idft`` conj(E_C) n_v / sqrt(n) and ``diff_dft``
+    (|J| x n_h) E_J / n_h.  Flat in an n_v x |C| grid, ``pixel_flat``
+    indexes the pixels and ``gather_flat`` (m x k) them at rows shifted
+    cyclically by the blur support offsets; ``offset_slots`` indexes their
+    m x m offsets, flat, in an n_v x |J| grid.  ``tril_weight`` (1 on the
+    diagonal, 2 below) sums a symmetric m x m matrix against a grid even in
+    the offsets from its lower triangle.  The pixels may lie anywhere.
     """
 
     r_cv: CirculantMatrix
@@ -329,8 +332,10 @@ class ImagePrior:
     col_dft: np.ndarray
     col_idft: np.ndarray
     diff_dft: np.ndarray
-    pixel_slots: tuple
+    pixel_flat: np.ndarray
+    gather_flat: np.ndarray
     offset_slots: np.ndarray
+    tril_weight: np.ndarray
 
     @property
     def m(self):
@@ -367,16 +372,21 @@ def build_image_prior(lattice: LatticeSpec, hp: HyperParams, c_obs,
     mu_hat = rdft2(mu)
     # constrained columns C and their cyclic differences J, with the row
     # DFTs restricted to them
+    n_v, n_h = lattice.n_v, lattice.n_h
     con_cols, col_slot = np.unique(px[:, 1], return_inverse=True)
     diffs, diff_slot = np.unique(offsets[1], return_inverse=True)
-    freqs = 2j * np.pi * np.arange(lattice.n_h) / lattice.n_h
+    freqs = 2j * np.pi * np.arange(n_h) / n_h
     offset_slots = offsets[0] * diffs.size + diff_slot.reshape(offsets[1].shape)
-    col_dft = np.exp(-np.outer(con_cols, freqs))
+    col_dft = np.exp(-np.outer(con_cols, freqs)) / np.sqrt(lattice.n)
+    shifted = (px[:, :1] + lattice.blur_support - n_v // 2) % n_v
     return ImagePrior(r_cv, r_ch, theta, base, _quad_weights(half),
                       float(np.sum(np.log(theta))), c_obs, mu, mu_hat,
                       np.conj(mu_hat), index, offsets, pixel_block, pixel_chol,
-                      col_dft, np.conj(col_dft), np.exp(-np.outer(diffs, freqs)),
-                      (px[:, 0], col_slot.ravel()), offset_slots)
+                      col_dft, np.conj(col_dft) * n_v,
+                      np.exp(-np.outer(diffs, freqs)) / n_h,
+                      px[:, 0] * con_cols.size + col_slot,
+                      shifted * con_cols.size + col_slot[:, None], offset_slots,
+                      np.tri(len(px)) + np.tri(len(px), k=-1))
 
 
 def _quad_weights(half_theta):
@@ -492,7 +502,7 @@ def ig_logpdf(x, alpha, beta):
     """Inverse-gamma log density."""
     if x <= 0:
         raise NonPositiveVariance("inverse-gamma variable must be positive")
-    return (alpha * np.log(beta) - scipy.special.gammaln(alpha)
+    return (alpha * np.log(beta) - math.lgamma(alpha)
             - (alpha + 1) * np.log(x) - beta / x)
 
 

@@ -15,6 +15,7 @@ from sbdeconv.hmc import (
     grad_potential,
     hmc_update,
     leapfrog,
+    marginal_workspace,
     potential,
 )
 from sbdeconv.model import (
@@ -390,21 +391,103 @@ class TestHmcUpdate:
         assert res.divergent and not res.accepted
         np.testing.assert_array_equal(res.omega, start)
 
-    def test_one_potential_per_position(self, monkeypatch):
+    def test_value_only_at_trajectory_ends(self, monkeypatch):
         model = desk_model()
         state = desk_state(model)
-        calls = []
+        values, workspaces, grads = [], [], []
 
-        def counting(*args):
-            calls.append(None)
-            return potential(*args)
+        def counting(calls, fn):
+            def wrapper(*args):
+                calls.append(None)
+                return fn(*args)
+            return wrapper
 
-        monkeypatch.setattr(sbdeconv.hmc, "potential", counting)
+        monkeypatch.setattr(sbdeconv.hmc, "potential", counting(values, potential))
+        monkeypatch.setattr(sbdeconv.hmc, "marginal_workspace",
+                            counting(workspaces, marginal_workspace))
+        monkeypatch.setattr(sbdeconv.hmc, "grad_potential",
+                            counting(grads, grad_potential))
         for steps in (1, 5):
-            calls.clear()
+            for calls in (values, workspaces, grads):
+                calls.clear()
             res = hmc_update(state, model, HmcConfig(steps, 0.01), RngStreams(5))
             assert not res.divergent
-            assert len(calls) == steps + 1
+            assert len(values) == 2
+            # one workspace and one gradient per position
+            assert len(workspaces) == steps + 1
+            assert len(grads) == steps + 1
+
+    def test_failing_interior_position_is_divergent(self, monkeypatch):
+        model = desk_model()
+        state = desk_state(model)
+        start = state.omega.copy()
+        builds = []
+
+        def failing(*args):
+            # the start point is build 0; build 2 is the second interior one
+            builds.append(None)
+            if len(builds) == 3:
+                raise IndefiniteS("interior position")
+            return marginal_workspace(*args)
+
+        monkeypatch.setattr(sbdeconv.hmc, "marginal_workspace", failing)
+        res = hmc_update(state, model, HmcConfig(5, 0.01), RngStreams(4))
+        assert len(builds) == 3
+        assert res.divergent and not res.accepted
+        np.testing.assert_array_equal(res.omega, start)
+        np.testing.assert_array_equal(state.omega, start)
+
+    def test_matches_reference_trajectory(self, monkeypatch):
+        # the reference takes the potential and its gradient at every
+        # position, and draws the momentum through scipy
+        paper_lat = LatticeSpec.create(24, 6, 10, image_rows=range(24),
+                                       image_cols=[3])
+        scattered = LatticeSpec.create(10, 3, 5, m_v=2, m_h=1,
+                                       image_pixels=[(0, 0), (4, 1), (7, 1), (9, 2)])
+        cases = ((desk_model(), 5, 0.01),
+                 (SbdModel.build(paper_lat, HyperParams(blur=CorrelationSpec(2.0, 1.98)),
+                                 np.random.default_rng(6).standard_normal(24) * 0.05),
+                  40, 0.002),
+                 (SbdModel.build(scattered, DESK_HP,
+                                 np.array([0.05, -0.02, 0.01, 0.04])), 10, 0.005))
+        momenta = []
+
+        def recording(omega, p, *args):
+            momenta.append(p.copy())
+            return leapfrog(omega, p, *args)
+
+        monkeypatch.setattr(sbdeconv.hmc, "leapfrog", recording)
+        for case, (model, steps, eps) in enumerate(cases):
+            for seed in range(3):
+                state = random_state(model, np.random.default_rng(100 * case + seed))
+                momenta.clear()
+                res = hmc_update(state, model, HmcConfig(steps, eps), RngStreams(seed))
+
+                streams = RngStreams(seed)
+                z = streams.momentum.standard_normal(state.omega.size)
+                p0 = scipy.linalg.solve_triangular(
+                    model.blur.chol_r_omega, z, lower=True, trans="T") \
+                    / np.sqrt(state.sigma_w2)
+                np.testing.assert_array_equal(momenta[0], p0)
+
+                def grad(w):
+                    _, ws = potential(w, state, model)
+                    return grad_potential(w, ws, state, model)
+
+                m_inv = state.sigma_w2 * model.blur.r_omega
+
+                def hamiltonian(w, p):
+                    return potential(w, state, model)[0] + 0.5 * p @ (m_inv @ p)
+
+                w1, p1 = leapfrog(state.omega, p0, eps, steps, grad, m_inv)
+                delta_h = hamiltonian(w1, p1) - hamiltonian(state.omega, p0)
+                assert not res.divergent
+                assert res.delta_h == pytest.approx(delta_h, rel=1e-10)
+                accept = np.log(streams.accept.random()) < -delta_h
+                assert res.accepted == accept
+                want = w1 if accept else state.omega
+                # equal up to rounding, which may follow the arrays' alignment
+                assert np.abs(res.omega - want).max() <= 1e-10 * np.abs(want).max()
 
     def test_acceptance_rate_reasonable(self):
         model = desk_model()

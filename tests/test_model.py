@@ -1,8 +1,15 @@
 """Hierarchical model pieces: correlations, priors, lattice, log posterior."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.stats
 
+import sbdeconv
 from sbdeconv.errors import (
     DimensionMismatch,
     MaskNotKronecker,
@@ -265,3 +272,21 @@ class TestLogPosterior:
         state.zeta = 0.0
         with pytest.raises(NonPositiveVariance):
             log_posterior_unnorm(state, model)
+
+    def test_ig_logpdf_matches_scipy(self):
+        for x, alpha, beta in ((0.002, 2.00001, 0.002), (3.0, 2.01, 10.0),
+                               (0.05, 3.0, 0.1), (7.5, 0.5, 2.0)):
+            want = scipy.stats.invgamma.logpdf(x, alpha, scale=beta)
+            assert ig_logpdf(x, alpha, beta) == pytest.approx(want, rel=1e-12)
+
+
+def test_import_leaves_out_special_and_spatial():
+    # both are slow to import and the package needs neither at import time
+    code = ("import sys, sbdeconv; "
+            "print(sorted({m.split('.')[1] for m in sys.modules "
+            "if m.split('.')[:2] in (['scipy', 'special'], ['scipy', 'spatial'])}))")
+    src = Path(sbdeconv.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
